@@ -11,8 +11,7 @@ Exit codes: 0 success, 1 failed verification, 2 invalid arguments,
 3 numerical non-convergence.
 
 Grid arguments accept `a..b:step` (inclusive, step optional with default 1)
-or comma-separated lists.  The environment variable DOPE_THREADS caps the
-worker count used for table rows.
+or comma-separated lists.
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from csv import writer as csv_writer
 from fractions import Fraction
 
@@ -97,22 +94,6 @@ def _parse_prob(text: str):
     if "/" in text:
         return Fraction(text)
     return float(text)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("DOPE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn, items):
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _csv_text(header, rows) -> str:
@@ -197,7 +178,7 @@ def _cmd_gap(args) -> int:
                 raise ConvergenceError(f"gap at threshold {n} did not converge")
             return (n, res.value, res.tail_estimate)
 
-        rows = _map_rows(one, parse_range(args.n))
+        rows = [one(n) for n in parse_range(args.n)]
     elif args.kernel == "airy":
         if args.t is None:
             raise ValueError("--kernel airy needs --t")
@@ -209,7 +190,7 @@ def _cmd_gap(args) -> int:
                 raise ConvergenceError(f"gap at threshold {t} did not converge")
             return (float(t), res.value, res.tail_estimate)
 
-        rows = _map_rows(one, parse_range(args.t))
+        rows = [one(t) for t in parse_range(args.t)]
     elif args.model == "percolation":
         if args.M is None or args.N is None or args.p is None or args.n is None:
             raise ValueError("--model percolation needs --M, --N, --p and --n")
@@ -251,7 +232,7 @@ def _cmd_tw(args) -> int:
                 raise ConvergenceError(f"F({t}) did not converge")
             return (float(t), res.value, res.tail_estimate)
 
-        rows = _map_rows(one, parse_range(args.t))
+        rows = [one(t) for t in parse_range(args.t)]
         _emit(args, _csv_text(("t", "F", "tail_estimate"), rows), t0)
         return 0
     thresholds = [float(v) for v in parse_range(args.joint)]

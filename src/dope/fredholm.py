@@ -2,11 +2,16 @@
 
 Two settings share the same truncate-and-certify pattern:
 
-* lattice operators K(x, y) phi(y) on the naturals, truncated at a point
-  where a computable diagonal tail sum certifies the neglected trace;
+* lattice operators K(x, y) phi(y) on the naturals.  One routine serves
+  every lattice kernel: it truncates at the first point where the kernel's
+  ``diag_tail`` certifies the neglected trace, takes the kernel matrix from
+  ``kernel.matrix`` and its determinant from LAPACK.  ``det_discrete``
+  (Bessel) and ``charlier_expectation_det`` pass only their shift, first
+  site and search start, and the Bessel joint law reuses its truncation;
 * integral operators on a half line (t, infinity), discretized by a
   Nystrom rule after the rational substitution s = t + c (1 + u)/(1 - u)
-  and symmetrized as det(I - W^{1/2} K W^{1/2}).
+  and symmetrized as det(I - W^{1/2} K W^{1/2}), with the kernel in its
+  edge frame; one node-doubling loop serves the marginal and the joint law.
 
 On top of the determinants sit the distribution of the largest particle
 (the Tracy-Widom law for the Airy kernel) and the joint law of the first
@@ -23,7 +28,7 @@ from itertools import product
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import kernels, specfun
+from . import kernels
 from .ensembles import MultiplicativeFunctional
 from .specfun import ConvergenceError
 
@@ -92,42 +97,35 @@ def admissible_counts(k: int):
 # Discrete determinants
 
 
-def _phi_norm(phi: MultiplicativeFunctional) -> float:
-    return phi.bound + 1.0
-
-
-def _bessel_tail(kernel: kernels.Bessel, x_threshold: int) -> float:
-    """sum_{y > X} B(y, y) for the discrete Bessel kernel."""
-    return kernels.bessel_diag_tail(kernel.alpha, x_threshold)
-
-
-def _charlier_tail(kernel: kernels.CharlierKernel, h_threshold: int) -> float:
-    """sum_{h > X} K(h, h), exact via the rank-m trace identity."""
-    if h_threshold < 0:
-        return float(kernel.m)
-    total = math.fsum(
-        kernel.projection_eval(h, h) for h in range(h_threshold + 1)
-    )
-    return max(0.0, kernel.m - total)
-
-
-def _truncation_point(tail_fn, start: int, goal: float, cap_steps: int = 4000) -> int:
+def _truncation_point(kernel, shift: int, start: int, goal: float, cap_steps: int = 4000):
+    """First X in start, start + 4, ... whose diagonal tail
+    sum_{y > X} K(y + shift, y + shift) is below goal, and that tail."""
     x = start
     for _ in range(cap_steps):
-        if tail_fn(x) < goal:
-            return x
+        tail = kernel.diag_tail(x + shift)
+        if tail < goal:
+            return x, tail
         x += 4
     raise ConvergenceError("diagonal tail did not fall below the tolerance")
 
 
-def _assemble_discrete(points, kernel_at, phi_at) -> np.ndarray:
-    n = len(points)
-    mat = np.eye(n)
-    for j, y in enumerate(points):
-        py = phi_at(y)
-        for i, x in enumerate(points):
-            mat[i, j] += kernel_at(x, y) * py
-    return mat
+def _lattice_det(kernel, phi, shift: int, first: int, start: int, tol: float):
+    """det(I + K_phi) over the sites y >= first, K_phi(x, y) = K(x + shift,
+    y + shift) phi(y), truncated at the first X from ``start`` on where the
+    diagonal tail times sup|phi| drops below tol.  The neglected part is
+    certified by |det - det_trunc| <= tailTrace * exp(totalTrace + tailTrace).
+    """
+    norm = phi.bound + 1.0
+    cutoff, tail = _truncation_point(kernel, shift, start, tol / max(norm, 1.0))
+    points = [y for y in range(first, cutoff + 1) if phi.phi(y) != 0.0]
+    weights = np.array([phi.phi(y) for y in points], dtype=float)
+    kmat = kernel.matrix([y + shift for y in points])
+    tail_trace = tail * norm
+    total_trace = math.fsum(abs(k * w) for k, w in zip(np.diag(kmat), weights)) + tail_trace
+    bound = tail_trace * math.exp(total_trace + tail_trace)
+    # with no points the matrix is 0 x 0 and its determinant 1
+    value = float(np.linalg.det(np.eye(len(points)) + kmat * weights))
+    return FredholmResult(value, len(points), bound, bound < tol)
 
 
 def det_discrete(
@@ -147,21 +145,8 @@ def det_discrete(
     if not isinstance(kernel, kernels.Bessel):
         raise TypeError("det_discrete expects the discrete Bessel kernel")
     L = int(L)
-    norm = _phi_norm(phi)
-    goal = tol / max(norm, 1.0)
     start = L + int(math.ceil(2.0 * math.sqrt(kernel.alpha))) + 8
-    cutoff = _truncation_point(lambda X: _bessel_tail(kernel, X - L), start, goal)
-    points = [y for y in range(0, cutoff + 1) if phi.phi(y) != 0.0]
-    tail_trace = _bessel_tail(kernel, cutoff - L) * norm
-    total_trace = math.fsum(
-        abs(kernel.eval(y - L, y - L) * phi.phi(y)) for y in points
-    ) + tail_trace
-    bound = tail_trace * math.exp(total_trace + tail_trace)
-    if not points:
-        return FredholmResult(1.0, 0, bound, bound < tol)
-    mat = _assemble_discrete(points, lambda x, y: kernel.eval(x - L, y - L), phi.phi)
-    value = float(np.linalg.det(mat))
-    return FredholmResult(value, len(points), bound, bound < tol)
+    return _lattice_det(kernel, phi, -L, 0, start, tol)
 
 
 def charlier_expectation_det(
@@ -174,31 +159,11 @@ def charlier_expectation_det(
     """The same expectation computed with the rank-m Charlier kernel
     shifted by m - L: entries delta + K(x + m - L, y + m - L) phi(y) over
     y >= max(0, L - m)."""
-    kernel = kernels.CharlierKernel(m, alpha)
     L = int(L)
     shift = m - L
-    y_min = max(0, -shift)
-    norm = _phi_norm(phi)
-    goal = tol / max(norm, 1.0)
-    start = y_min + int(math.ceil(2.0 * math.sqrt(alpha))) + 8
-
-    def tail(X: int) -> float:
-        return _charlier_tail(kernel, X + shift)
-
-    cutoff = _truncation_point(tail, start, goal)
-    points = [y for y in range(y_min, cutoff + 1) if phi.phi(y) != 0.0]
-    tail_trace = tail(cutoff) * norm
-    total_trace = math.fsum(
-        abs(kernel.eval(y + shift, y + shift) * phi.phi(y)) for y in points
-    ) + tail_trace
-    bound = tail_trace * math.exp(total_trace + tail_trace)
-    if not points:
-        return FredholmResult(1.0, 0, bound, bound < tol)
-    mat = _assemble_discrete(
-        points, lambda x, y: kernel.eval(x + shift, y + shift), phi.phi
-    )
-    value = float(np.linalg.det(mat))
-    return FredholmResult(value, len(points), bound, bound < tol)
+    first = max(0, -shift)
+    start = first + int(math.ceil(2.0 * math.sqrt(alpha))) + 8
+    return _lattice_det(kernels.CharlierKernel(m, alpha), phi, shift, first, start, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +171,9 @@ def charlier_expectation_det(
 
 
 def _edge_kernel_on_nodes(kernel, s: np.ndarray) -> np.ndarray:
-    """Kernel matrix on real nodes via per-node special function values."""
-    if isinstance(kernel, kernels.AiryKernel):
-        ai = np.array([specfun.airy_ai(v) for v in s])
-        aip = np.array([specfun.airy_ai_prime(v) for v in s])
-        num = np.outer(ai, aip) - np.outer(aip, ai)
-        diff = np.subtract.outer(s, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mat = num / diff
-        diag = aip * aip - s * ai * ai
-        np.fill_diagonal(mat, diag)
-        return mat
-    if isinstance(kernel, kernels.HermiteKernel):
-        mm = kernel.m
-        scale = math.sqrt(2.0) * mm ** (1.0 / 6.0)
-        pts = math.sqrt(2.0 * mm) + s / scale
-        pairs = [specfun.hermite_psi(mm, v) for v in pts]
-        psi_m1 = np.array([p[0] for p in pairs])
-        psi_m = np.array([p[1] for p in pairs])
-        pref = math.sqrt(mm / 2.0)
-        num = np.outer(psi_m, psi_m1) - np.outer(psi_m1, psi_m)
-        diff = np.subtract.outer(pts, pts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mat = pref * num / diff
-        diag = np.array([kernel.eval(v, v) for v in pts])
-        np.fill_diagonal(mat, diag)
-        return mat / scale
-    raise TypeError("det_continuum expects the Airy or Hermite kernel")
+    """Edge-scaled kernel matrix sigma K(nu + sigma s_i, nu + sigma s_j)."""
+    nu, sigma = kernels._edge_frame(kernel)
+    return sigma * kernel.matrix(nu + sigma * s)
 
 
 def _halfline_nodes(t: float, n: int):
@@ -252,21 +193,31 @@ def _det_value(kernel, t: float, n: int) -> float:
     return float(np.linalg.det(sym))
 
 
+def _doubled(value_at, tol: float):
+    """Double the node count from 40 until two resolutions agree within
+    tol; return (value, nodes, change)."""
+    n = _NYSTROM_START
+    prev = value_at(n)
+    while n < _NYSTROM_CAP:
+        n *= 2
+        value = value_at(n)
+        change = abs(value - prev)
+        if change < tol:
+            return value, n, change
+        prev = value
+    raise ConvergenceError("Nystrom value did not stabilize")
+
+
 def det_continuum(kernel, t: float, tol: float = 1e-8) -> FredholmResult:
-    """det(I - K)|_{L^2(t, inf)} by a symmetrized Nystrom rule.
+    """det(I - K)|_{L^2(t, inf)} by a symmetrized Nystrom rule, for a
+    kernel on the reals in its edge scaling (Airy or Hermite).
 
     Node count doubles from 40 until two resolutions agree within tol.
     """
-    n = _NYSTROM_START
-    prev = _det_value(kernel, t, n)
-    while n < _NYSTROM_CAP:
-        n *= 2
-        value = _det_value(kernel, t, n)
-        change = abs(value - prev)
-        if change < tol:
-            return FredholmResult(value, n, change, True)
-        prev = value
-    raise ConvergenceError("Nystrom determinant did not stabilize")
+    if kernel.domain != "reals":
+        raise TypeError("det_continuum expects the Airy or Hermite kernel")
+    value, n, change = _doubled(lambda n: _det_value(kernel, t, n), tol)
+    return FredholmResult(value, n, change, True)
 
 
 def tracy_widom(t: float, tol: float = 1e-8) -> float:
@@ -308,22 +259,28 @@ def _joint_from_grid(det_at, k: int, tol: float) -> float:
     return float(sum(coeff[n] for n in admissible_counts(k)))
 
 
+def _joint_from_matrix(base: np.ndarray, labels, k: int, tol: float) -> float:
+    """Joint law from the operator matrix ``base`` on points labelled by
+    their interval: D(z) = det(I + base diag(z_label))."""
+    eye = np.eye(len(labels))
+
+    def det_at(z):
+        zeta = np.array([z[j] for j in labels])
+        return float(np.linalg.det(eye + base * zeta[None, :]))
+
+    return _joint_from_grid(det_at, k, tol)
+
+
 def _joint_discrete(kernel: kernels.Bessel, sys: IntervalSystem, tol: float):
     a = sys.thresholds
     k = sys.k
     floor = int(math.floor(a[-1]))
     goal = tol / (2.0 * k + 1.0)
     start = int(math.ceil(a[0] + 2.0 * math.sqrt(kernel.alpha))) + 8
-    cutoff = _truncation_point(lambda X: _bessel_tail(kernel, X), start, goal)
+    cutoff, _ = _truncation_point(kernel, 0, start, goal)
     points = [y for y in range(floor + 1, cutoff + 1) if sys.interval_index(y)]
     labels = [sys.interval_index(y) - 1 for y in points]
-    base = np.array([[kernel.eval(x, y) for y in points] for x in points])
-
-    def det_at(z):
-        zeta = np.array([z[j] for j in labels])
-        return float(np.linalg.det(np.eye(len(points)) + base * zeta[None, :]))
-
-    return _joint_from_grid(det_at, k, tol)
+    return _joint_from_matrix(kernel.matrix(points), labels, k, tol)
 
 
 def _joint_airy_nodes(sys: IntervalSystem, n: int):
@@ -346,18 +303,11 @@ def _joint_airy_nodes(sys: IntervalSystem, n: int):
     return np.concatenate(s_all), np.concatenate(w_all), np.array(labels)
 
 
-def _joint_airy_value(sys: IntervalSystem, n: int, tol: float) -> float:
+def _joint_airy_value(kernel, sys: IntervalSystem, n: int, tol: float) -> float:
     s, w, labels = _joint_airy_nodes(sys, n)
-    kernel = kernels.AiryKernel()
-    kmat = _edge_kernel_on_nodes(kernel, s)
     root = np.sqrt(w)
-    weighted = kmat * np.outer(root, root)
-
-    def det_at(z):
-        zeta = np.array([z[j] for j in labels])
-        return float(np.linalg.det(np.eye(len(s)) + weighted * zeta[None, :]))
-
-    return _joint_from_grid(det_at, sys.k, tol)
+    weighted = _edge_kernel_on_nodes(kernel, s) * np.outer(root, root)
+    return _joint_from_matrix(weighted, labels, sys.k, tol)
 
 
 def joint_rows(kernel, sys: IntervalSystem, tol: float = 1e-8) -> float:
@@ -370,16 +320,9 @@ def joint_rows(kernel, sys: IntervalSystem, tol: float = 1e-8) -> float:
     For the Bessel kernel the particles are lam_i - i of the Poissonized
     measure; for the Airy kernel this is the joint edge law.
     """
-    if isinstance(kernel, kernels.Bessel):
+    if not isinstance(kernel, (kernels.Bessel, kernels.AiryKernel)):
+        raise TypeError("joint_rows supports the Bessel and Airy kernels")
+    if kernel.domain == "integers":
         return _joint_discrete(kernel, sys, tol)
-    if isinstance(kernel, kernels.AiryKernel):
-        n = _NYSTROM_START
-        prev = _joint_airy_value(sys, n, tol)
-        while n < _NYSTROM_CAP:
-            n *= 2
-            value = _joint_airy_value(sys, n, tol)
-            if abs(value - prev) < tol:
-                return value
-            prev = value
-        raise ConvergenceError("joint Nystrom value did not stabilize")
-    raise TypeError("joint_rows supports the Bessel and Airy kernels")
+    value, _, _ = _doubled(lambda n: _joint_airy_value(kernel, sys, n, tol), tol)
+    return value

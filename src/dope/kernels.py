@@ -1,19 +1,28 @@
 """Correlation kernels for discrete orthogonal polynomial ensembles and
 their scaling limits.
 
-Each kernel is a small frozen descriptor with an ``eval(x, y)`` method.
-Off-diagonal values use the Christoffel-Darboux quotient built from
-orthonormal weighted functions; diagonal values use analytically
-differentiated forms (never a numeric limit of the quotient, which is
-0/0 there).  The discrete Bessel kernel additionally has a series
-representation, and the Airy kernel an integral representation; the
-pairs of routes are kept separate so they can be cross-checked.
+Each kernel is a small frozen descriptor.  The Bessel, Charlier, Meixner,
+Hermite and Airy kernels have Christoffel-Darboux form: each supplies a
+pair (u(x), v(x)) of weighted functions, a constant and a diagonal
+formula, and one shared quotient const (u(x) v(y) - v(x) u(y)) / (x - y)
+gives both ``eval(x, y)`` and ``matrix(points)``, the whole kernel matrix
+on a point list, entry for entry equal to ``eval``.  Diagonal values use
+analytically differentiated forms (never a numeric limit of the quotient,
+which is 0/0 there).  The lattice kernels also give ``diag_tail(x)``, the
+trace sum_{y > x} K(y, y) that certifies a truncated Fredholm determinant.
+The discrete Bessel kernel additionally has a series representation, the
+Charlier kernel projection and contour routes, and the Airy kernel an
+integral representation; the pairs of routes are kept separate so they can
+be cross-checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import specfun
 from ._util import log_binomial, log_factorial
@@ -60,16 +69,19 @@ def _require_int(v, name: str) -> int:
 # so only the seed sqrt(w(x)) and transient growth need the scaling.
 
 
-def _weighted_recurrence(x, m, log_w, a_fn, b_fn):
-    """Return (phi_{m-1}(x), phi_m(x), sum_{n<m} phi_n(x)^2)."""
+def _weighted_recurrence(x, count, log_w, a_fn, b_fn):
+    """Return ([phi_0(x), ..., phi_{count-1}(x)], (phi_{count-1}(x), phi_count(x))).
+
+    The column entries are read as the recurrence passes them, the trailing
+    pair from its final scaled state.
+    """
     ln2 = math.log(2.0)
     e = int(math.floor(0.5 * log_w / ln2))
     p_prev = 0.0
     p_cur = math.exp(0.5 * log_w - e * ln2)
-    diag = 0.0
-    for n in range(m):
-        phi_n = math.ldexp(p_cur, e) if -1074 < e < 1024 else 0.0
-        diag += phi_n * phi_n
+    column = []
+    for n in range(count):
+        column.append(math.ldexp(p_cur, e) if -1074 < e < 1024 else 0.0)
         nxt = ((x - b_fn(n)) * p_cur - a_fn(n) * p_prev) / a_fn(n + 1)
         p_prev, p_cur = p_cur, nxt
         mag = max(abs(p_cur), abs(p_prev))
@@ -80,27 +92,63 @@ def _weighted_recurrence(x, m, log_w, a_fn, b_fn):
             e += shift
     lo = math.ldexp(p_prev, e) if -1074 < e < 1024 else 0.0
     hi = math.ldexp(p_cur, e) if -1074 < e < 1024 else 0.0
-    return lo, hi, diag
+    return column, (lo, hi)
 
 
-def _weighted_values(x, count, log_w, a_fn, b_fn):
-    """Return [phi_0(x), ..., phi_{count-1}(x)] as floats."""
-    ln2 = math.log(2.0)
-    e = int(math.floor(0.5 * log_w / ln2))
-    p_prev = 0.0
-    p_cur = math.exp(0.5 * log_w - e * ln2)
-    out = []
-    for n in range(count):
-        out.append(math.ldexp(p_cur, e) if -1074 < e < 1024 else 0.0)
-        nxt = ((x - b_fn(n)) * p_cur - a_fn(n) * p_prev) / a_fn(n + 1)
-        p_prev, p_cur = p_cur, nxt
-        mag = max(abs(p_cur), abs(p_prev))
-        if mag > 0.0 and not (2.0**-500 < mag < 2.0**500):
-            shift = int(math.floor(math.log2(mag)))
-            p_prev = math.ldexp(p_prev, -shift)
-            p_cur = math.ldexp(p_cur, -shift)
-            e += shift
-    return out
+# ---------------------------------------------------------------------------
+# Christoffel-Darboux form
+
+
+def _christoffel_darboux(const, x, ux, vx, y, uy, vy):
+    """const (u(x) v(y) - v(x) u(y)) / (x - y), on floats or broadcast arrays."""
+    return const * (ux * vy - vx * uy) / (x - y)
+
+
+class _ChristoffelDarboux:
+    """Shared ``eval`` and ``matrix`` of a kernel in Christoffel-Darboux form.
+
+    A subclass supplies ``_pair(x) = (u(x), v(x))``, the constant
+    ``_cd_const`` and the diagonal formula ``_diagonal(x)``.  On the reals
+    the diagonal formula also serves pairs closer than _NEAR_DIAGONAL, at
+    their midpoint, where the quotient is 0/0 up to rounding.
+    """
+
+    def _site(self, x):
+        if self.domain == "reals":
+            return x
+        x = _require_int(x, "x")
+        if self.domain == "naturals" and x < 0:
+            raise ValueError(f"{type(self).__name__} arguments must be nonnegative")
+        return x
+
+    @property
+    def _near_diagonal(self) -> float:
+        # on a lattice |x - y| < 1/2 only when x == y
+        return _NEAR_DIAGONAL if self.domain == "reals" else 0.5
+
+    def _diagonal_near(self, x, y) -> float:
+        # 0.5 (x + x) is x exactly, so an exact diagonal pair needs no midpoint
+        return self._diagonal(x if x == y else 0.5 * (x + y))
+
+    def eval(self, x, y) -> float:
+        x, y = self._site(x), self._site(y)
+        if abs(x - y) < self._near_diagonal:
+            return self._diagonal_near(x, y)
+        return _christoffel_darboux(self._cd_const, x, *self._pair(x), y, *self._pair(y))
+
+    def matrix(self, points) -> np.ndarray:
+        """[K(x, y)] for x (rows) and y (columns) in points, equal to eval
+        entry for entry, with each point's pair evaluated once."""
+        pts = [self._site(p) for p in points]
+        u, v = np.array([self._pair(p) for p in pts], dtype=float).reshape(-1, 2).T
+        col = np.array(pts)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mat = _christoffel_darboux(
+                self._cd_const, col, u[:, None], v[:, None], col.T, u[None, :], v[None, :]
+            )
+        for i, j in zip(*np.nonzero(np.abs(col - col.T) < self._near_diagonal)):
+            mat[i, j] = self._diagonal_near(pts[i], pts[j])
+        return mat
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +156,7 @@ def _weighted_values(x, count, log_w, a_fn, b_fn):
 
 
 @dataclass(frozen=True)
-class Bessel:
+class Bessel(_ChristoffelDarboux):
     """Discrete Bessel kernel on the integer lattice, parameter alpha > 0.
 
     Off the diagonal,
@@ -124,25 +172,26 @@ class Bessel:
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-    def eval(self, x: int, y: int) -> float:
-        x = _require_int(x, "x")
-        y = _require_int(y, "y")
-        sa = math.sqrt(self.alpha)
-        if x == y:
-            jx = specfun.bessel_j(x, self.alpha)
-            jx1 = specfun.bessel_j(x + 1, self.alpha)
-            lx = specfun.bessel_j_orderderiv(x, self.alpha)
-            lx1 = specfun.bessel_j_orderderiv(x + 1, self.alpha)
-            return sa * (lx * jx1 - jx * lx1)
-        jx = specfun.bessel_j(x, self.alpha)
-        jy = specfun.bessel_j(y, self.alpha)
-        jx1 = specfun.bessel_j(x + 1, self.alpha)
-        jy1 = specfun.bessel_j(y + 1, self.alpha)
-        return sa * (jx * jy1 - jx1 * jy) / (x - y)
+    @property
+    def _cd_const(self) -> float:
+        return math.sqrt(self.alpha)
+
+    def _pair(self, x: int):
+        return specfun.bessel_j(x, self.alpha), specfun.bessel_j(x + 1, self.alpha)
+
+    def _diagonal(self, x: int) -> float:
+        jx, jx1 = self._pair(x)
+        lx = specfun.bessel_j_orderderiv(x, self.alpha)
+        lx1 = specfun.bessel_j_orderderiv(x + 1, self.alpha)
+        return self._cd_const * (lx * jx1 - jx * lx1)
+
+    def diag_tail(self, x: int) -> float:
+        """sum_{y > x} B(y, y)."""
+        return bessel_diag_tail(self.alpha, x)
 
 
 @dataclass(frozen=True)
-class CharlierKernel:
+class CharlierKernel(_ChristoffelDarboux):
     """Charlier kernel on the naturals: rank-m projection onto the span of
     the first m orthonormal Charlier functions with parameter a = alpha/m.
 
@@ -192,45 +241,38 @@ class CharlierKernel:
     def _phi_dual(self, n: int, x: int) -> float:
         # phi_n(x) for n past the crest, via phi_n(x) = (-1)^(n+x) phi_x(n).
         sgn = -1.0 if (n + x) & 1 else 1.0
-        val = _weighted_recurrence(
+        _, (_, val) = _weighted_recurrence(
             float(n), x, self._log_weight(n), self._a_fn, self._b_fn
-        )[1]
+        )
         return sgn * val
 
-    def _phi_pair(self, x: int):
-        """Return (phi_{m-1}(x), phi_m(x)) by a stable route."""
+    @property
+    def _cd_const(self) -> float:
+        return math.sqrt(self.alpha)
+
+    def _pair(self, x: int):
+        """Return (phi_m(x), phi_{m-1}(x)) by a stable route."""
         if self.m <= self._crest(x):
-            lo, hi, _ = _weighted_recurrence(
+            _, (lo, hi) = _weighted_recurrence(
                 float(x), self.m, self._log_weight(x), self._a_fn, self._b_fn
             )
-            return lo, hi
-        return self._phi_dual(self.m - 1, x), self._phi_dual(self.m, x)
+            return hi, lo
+        return self._phi_dual(self.m, x), self._phi_dual(self.m - 1, x)
 
     def _phi_column(self, x: int):
         """Return [phi_0(x), ..., phi_{m-1}(x)] by stable routes."""
         m = self.m
         crest = self._crest(x)
         if m - 1 <= crest:
-            return _weighted_values(
+            return _weighted_recurrence(
                 float(x), m, self._log_weight(x), self._a_fn, self._b_fn
-            )
-        out = _weighted_values(
+            )[0]
+        out = _weighted_recurrence(
             float(x), crest + 1, self._log_weight(x), self._a_fn, self._b_fn
-        )
+        )[0]
         for n in range(crest + 1, m):
             out.append(self._phi_dual(n, x))
         return out
-
-    def eval(self, x: int, y: int) -> float:
-        x = _require_int(x, "x")
-        y = _require_int(y, "y")
-        if x < 0 or y < 0:
-            raise ValueError("Charlier kernel arguments must be nonnegative")
-        if x == y:
-            return self._diagonal(x)
-        px1, px = self._phi_pair(x)
-        py1, py = self._phi_pair(y)
-        return math.sqrt(self.alpha) * (px * py1 - px1 * py) / (x - y)
 
     def projection_eval(self, x: int, y: int) -> float:
         """Independent route: the projection sum sum_{n<m} phi_n(x) phi_n(y),
@@ -240,6 +282,26 @@ class CharlierKernel:
         cx = self._phi_column(x)
         cy = cx if y == x else self._phi_column(y)
         return math.fsum(px * py for px, py in zip(cx, cy))
+
+    @cached_property
+    def _projection_diagonals(self) -> dict:
+        # site h -> K(h, h) by the projection sum, filled in by diag_tail
+        return {}
+
+    def diag_tail(self, x: int) -> float:
+        """sum_{h > x} K(h, h), exact via the rank-m trace identity.
+
+        Each projection diagonal is computed once per kernel instance; fsum
+        is correctly rounded, so the kept values give the same tail as
+        summing afresh.
+        """
+        if x < 0:
+            return float(self.m)
+        diagonals = self._projection_diagonals
+        for h in range(x + 1):
+            if h not in diagonals:
+                diagonals[h] = self.projection_eval(h, h)
+        return max(0.0, self.m - math.fsum(diagonals[h] for h in range(x + 1)))
 
     def contour_eval(self, x: int, y: int) -> float:
         """Off-diagonal value from the circle-integral auxiliaries.
@@ -310,7 +372,7 @@ class CharlierKernel:
 
 
 @dataclass(frozen=True)
-class MeixnerKernel:
+class MeixnerKernel(_ChristoffelDarboux):
     """Meixner kernel on the naturals: rank-m projection built from the
     orthonormal functions for the weight binom(x+k-1, x) q^x."""
 
@@ -341,23 +403,26 @@ class MeixnerKernel:
     def _b_fn(self, n: int) -> float:
         return (n + (n + self.k) * self.q) / (1.0 - self.q)
 
-    def _pair(self, x: int):
+    @property
+    def _cd_const(self) -> float:
+        return self._a_fn(self.m)
+
+    def _recurrence(self, x: int):
         return _weighted_recurrence(x, self.m, self._log_weight(x), self._a_fn, self._b_fn)
 
-    def eval(self, x: int, y: int) -> float:
-        x = _require_int(x, "x")
-        y = _require_int(y, "y")
-        if x < 0 or y < 0:
-            raise ValueError("Meixner kernel arguments must be nonnegative")
-        if x == y:
-            return self._pair(x)[2]
-        px1, px, _ = self._pair(x)
-        py1, py, _ = self._pair(y)
-        return self._a_fn(self.m) * (px * py1 - px1 * py) / (x - y)
+    def _pair(self, x: int):
+        _, (lo, hi) = self._recurrence(x)
+        return hi, lo
+
+    def _diagonal(self, x: int) -> float:
+        diag = 0.0
+        for phi in self._recurrence(x)[0]:
+            diag += phi * phi
+        return diag
 
 
 @dataclass(frozen=True)
-class HermiteKernel:
+class HermiteKernel(_ChristoffelDarboux):
     """Hermite kernel on the reals built from the harmonic oscillator
     functions psi_n; the rank-m projection kernel of the squared-Vandermonde
     Gaussian ensemble."""
@@ -369,39 +434,39 @@ class HermiteKernel:
         if self.m < 1:
             raise ValueError("m must be a positive integer")
 
-    def eval(self, x: float, y: float) -> float:
+    @property
+    def _cd_const(self) -> float:
+        return math.sqrt(self.m / 2.0)
+
+    def _pair(self, x: float):
+        psi_m1, psi_m = specfun.hermite_psi(self.m, x)
+        return psi_m, psi_m1
+
+    def _diagonal(self, x: float) -> float:
         m = self.m
-        pref = math.sqrt(m / 2.0)
-        if abs(x - y) < _NEAR_DIAGONAL:
-            mid = 0.5 * (x + y)
-            psi_m1, psi_m = specfun.hermite_psi(m, mid)
-            term = math.sqrt(2.0 * m) * psi_m1 * psi_m1
-            if m >= 2:
-                psi_m2 = specfun.hermite_psi(m - 1, mid)[0]
-                term -= math.sqrt(2.0 * (m - 1)) * psi_m2 * psi_m
-            return pref * term
-        px1, px = specfun.hermite_psi(m, x)
-        py1, py = specfun.hermite_psi(m, y)
-        return pref * (px * py1 - px1 * py) / (x - y)
+        psi_m1, psi_m = specfun.hermite_psi(m, x)
+        term = math.sqrt(2.0 * m) * psi_m1 * psi_m1
+        if m >= 2:
+            psi_m2 = specfun.hermite_psi(m - 1, x)[0]
+            term -= math.sqrt(2.0 * (m - 1)) * psi_m2 * psi_m
+        return self._cd_const * term
 
 
 @dataclass(frozen=True)
-class AiryKernel:
+class AiryKernel(_ChristoffelDarboux):
     """Airy kernel on the reals,
     A(s, t) = (Ai(s) Ai'(t) - Ai'(s) Ai(t)) / (s - t),
     with the derivative form Ai'(s)^2 - s Ai(s)^2 on the diagonal."""
 
     domain = "reals"
+    _cd_const = 1.0
 
-    def eval(self, x: float, y: float) -> float:
-        if abs(x - y) < _NEAR_DIAGONAL:
-            mid = 0.5 * (x + y)
-            ai = specfun.airy_ai(mid)
-            aip = specfun.airy_ai_prime(mid)
-            return aip * aip - mid * ai * ai
-        ax, apx = specfun.airy_ai(x), specfun.airy_ai_prime(x)
-        ay, apy = specfun.airy_ai(y), specfun.airy_ai_prime(y)
-        return (ax * apy - apx * ay) / (x - y)
+    def _pair(self, x: float):
+        return specfun.airy_ai(x), specfun.airy_ai_prime(x)
+
+    def _diagonal(self, x: float) -> float:
+        ai, aip = self._pair(x)
+        return aip * aip - x * ai * ai
 
 
 @dataclass(frozen=True)
@@ -529,7 +594,9 @@ def airy_integral(x: float, y: float, upper: float = 60.0) -> float:
 
 
 def _edge_frame(kernel) -> tuple[float, float]:
-    """Edge location nu and edge scale sigma of a discrete kernel."""
+    """Edge location nu and edge scale sigma of a kernel: the point
+    nu + xi sigma stands for the Airy coordinate xi, and sigma K there tends
+    to the Airy kernel.  The Airy kernel is its own frame, nu = 0, sigma = 1."""
     if isinstance(kernel, Bessel):
         alpha = kernel.alpha
         return 2.0 * math.sqrt(alpha), alpha ** (1.0 / 6.0)
@@ -538,7 +605,12 @@ def _edge_frame(kernel) -> tuple[float, float]:
         sa = math.sqrt(alpha)
         nu = m + alpha / m + 2.0 * sa
         return nu, (1.0 + sa / m) ** (2.0 / 3.0) * alpha ** (1.0 / 6.0)
-    raise TypeError("edge lattice coordinates exist for the discrete kernels only")
+    if isinstance(kernel, HermiteKernel):
+        m = kernel.m
+        return math.sqrt(2.0 * m), 1.0 / (math.sqrt(2.0) * m ** (1.0 / 6.0))
+    if isinstance(kernel, AiryKernel):
+        return 0.0, 1.0
+    raise TypeError("edge scaling is defined for Bessel, Charlier, Hermite and Airy kernels")
 
 
 def edge_coordinates(kernel, xi: float) -> tuple[int, float]:
@@ -555,6 +627,8 @@ def edge_coordinates(kernel, xi: float) -> tuple[int, float]:
     effective coordinate also keeps comparisons insensitive to the rounding
     convention, which differs at the half-integers only.
     """
+    if kernel.domain == "reals":
+        raise TypeError("edge lattice coordinates exist for the discrete kernels only")
     nu, sigma = _edge_frame(kernel)
     if isinstance(kernel, Bessel):
         point = round_half_up(nu + xi * sigma)
@@ -566,17 +640,12 @@ def edge_coordinates(kernel, xi: float) -> tuple[int, float]:
 def scaled_edge(kernel, xi: float, eta: float) -> float:
     """Edge rescaling of a kernel; converges to the Airy kernel as the
     asymptotic parameter grows."""
-    if isinstance(kernel, (Bessel, CharlierKernel)):
-        _, sigma = _edge_frame(kernel)
-        x, _ = edge_coordinates(kernel, xi)
-        y, _ = edge_coordinates(kernel, eta)
-        return sigma * kernel.eval(x, y)
-    if isinstance(kernel, HermiteKernel):
-        m = kernel.m
-        scale = math.sqrt(2.0) * m ** (1.0 / 6.0)
-        base = math.sqrt(2.0 * m)
-        return kernel.eval(base + xi / scale, base + eta / scale) / scale
-    raise TypeError("edge scaling is defined for Bessel, Charlier and Hermite kernels")
+    nu, sigma = _edge_frame(kernel)
+    if kernel.domain == "reals":
+        return sigma * kernel.eval(nu + xi * sigma, nu + eta * sigma)
+    x, _ = edge_coordinates(kernel, xi)
+    y, _ = edge_coordinates(kernel, eta)
+    return sigma * kernel.eval(x, y)
 
 
 def bulk_scaled(alpha: float, r: float, u: int) -> float:

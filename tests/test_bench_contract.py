@@ -1,0 +1,57 @@
+"""The benchmark's hooks into the package keep resolving.
+
+`bench/spans.py` wraps named attributes of the package for the traced run,
+and `bench/workloads.py` reads the `tol` defaults of the public determinant
+functions.  These tests import the span recorder as it is, without changing
+it, so a refactor that renames or bypasses a hooked attribute fails here
+instead of silently emptying a per-layer metric.
+"""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from dope import fredholm, kernels
+from dope.ensembles import MultiplicativeFunctional
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        return importlib.import_module("spans")
+
+
+def test_every_traced_target_resolves(spans):
+    for owner, attr, name, _ in spans.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "name", ["det_discrete", "charlier_expectation_det", "det_continuum", "joint_rows"]
+)
+def test_public_determinants_keep_a_tol_default(name):
+    default = inspect.signature(getattr(fredholm, name)).parameters["tol"].default
+    assert isinstance(default, float) and default > 0.0
+
+
+def test_traced_lattice_call_reaches_the_hooked_layers(spans):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.request_span(
+            0,
+            lambda: fredholm.det_discrete(
+                kernels.Bessel(2.0), MultiplicativeFunctional.indicator_gap(3)
+            ),
+        )
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in ("fredholm.det_discrete", "kernels.bessel_diag_tail", "fredholm.linalg_det"):
+        assert summary[name]["calls"] >= 1, name
+    assert summary["fredholm.det_discrete"]["measure"] > 0

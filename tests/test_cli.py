@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from dope import cli
+from dope import cli, fredholm
 
 
 def _run(capsys, argv):
@@ -67,6 +67,17 @@ def test_gap_bessel_table(capsys):
     assert float(rows[0]["value"]) == pytest.approx(math.exp(-1.0), abs=1e-12)
     values = [float(r["value"]) for r in rows]
     assert values == sorted(values)
+
+
+def test_gap_non_convergence_exits_3(capsys, monkeypatch):
+    # 3 is numerical non-convergence, 1 a failed verification
+    def unconverged(kernel, phi, L=0, tol=1e-10):
+        return fredholm.FredholmResult(0.5, 10, 1.0, False)
+
+    monkeypatch.setattr(fredholm, "det_discrete", unconverged)
+    code, out, err = _run(capsys, ["gap", "--kernel", "bessel", "--alpha", "1", "--n", "2"])
+    assert code == 3
+    assert "did not converge" in err
 
 
 def test_gap_percolation_exact_value(capsys):
@@ -183,16 +194,6 @@ def test_out_file_and_manifest(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target2.read_text() == text
-
-
-def test_threaded_rows_match_serial(tmp_path, capsys, monkeypatch):
-    argv = ["tw", "--t", "-1..1:1"]
-    code, serial, _ = _run(capsys, argv)
-    assert code == 0
-    monkeypatch.setenv("DOPE_THREADS", "4")
-    code, threaded, _ = _run(capsys, argv)
-    assert code == 0
-    assert threaded == serial
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dope.ensembles import (
@@ -100,6 +101,48 @@ def test_charlier_determinant_matches_direct_word_law(m, alpha, t):
     det = charlier_expectation_det(alpha, m, MultiplicativeFunctional.indicator_gap(t))
     assert det.converged
     assert det.value == pytest.approx(word_gap(m, t, alpha=alpha), abs=1e-8)
+
+
+def _scalar_eval_det(kernel, phi, sites, shift):
+    """det(I + K_phi) assembled entry by entry from scalar eval."""
+    mat = np.eye(len(sites)) + np.array(
+        [[kernel.eval(x + shift, y + shift) * phi.phi(y) for y in sites] for x in sites]
+    )
+    return float(np.linalg.det(mat))
+
+
+@pytest.mark.parametrize("alpha,n", [(1.0, 2), (37.5, 12), (37.5, 16)])
+def test_det_discrete_equals_scalar_eval_determinant(alpha, n):
+    kernel = Bessel(alpha)
+    phi = MultiplicativeFunctional.indicator_gap(n)
+    res = det_discrete(kernel, phi)
+    # phi is nonzero exactly on the sites >= n
+    sites = list(range(n, n + res.truncation_size))
+    assert abs(res.value - _scalar_eval_det(kernel, phi, sites, 0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m,alpha,t", [(3, 1.0, 2), (20, 200.0, 44)])
+def test_charlier_det_equals_scalar_eval_determinant(m, alpha, t):
+    phi = MultiplicativeFunctional.indicator_gap(t)
+    res = charlier_expectation_det(alpha, m, phi)
+    sites = list(range(t, t + res.truncation_size))
+    expected = _scalar_eval_det(CharlierKernel(m, alpha), phi, sites, m)
+    assert abs(res.value - expected) <= 1e-13
+
+
+def test_charlier_projection_diagonals_are_computed_once_per_call(monkeypatch):
+    # the truncation search reaches site 77; the trace-identity tail sums
+    # each site's projection diagonal once across its steps
+    calls = []
+    projection_eval = CharlierKernel.projection_eval
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return projection_eval(self, x, y)
+
+    monkeypatch.setattr(CharlierKernel, "projection_eval", counted)
+    charlier_expectation_det(200.0, 20, MultiplicativeFunctional.indicator_gap(44))
+    assert calls == [(h, h) for h in range(78)]
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,29 @@ def test_gram_matrices_are_positive_semidefinite(kernel, points):
 
 
 # ---------------------------------------------------------------------------
+# whole-matrix assembly
+
+
+@pytest.mark.parametrize(
+    "kernel,points",
+    [
+        (Bessel(1.0), [-4, -1, 0, 1, 2, 5, 9]),
+        (Bessel(3000.0), [60, 95, 109, 110, 111, 118, 130, 150]),
+        # m = 20 lies above the recurrence crest for sites 0..2, so those
+        # take the dual route and the others the upward recurrence
+        (CharlierKernel(20, 200.0), [0, 2, 4, 5, 12, 20, 41, 63]),
+        (MeixnerKernel(q=0.3, k=2, m=5), [0, 1, 4, 8, 13]),
+        # 0.5 and 0.5 + 3e-7 are closer than the near-diagonal width
+        (AiryKernel(), [-6.0, -3.0, -1.0, 0.0, 0.5, 0.5 + 3e-7, 1.5, 4.0]),
+        (HermiteKernel(6), [-2.3, -1.1, 0.1, 1.7, 2.6]),
+    ],
+)
+def test_matrix_equals_eval_entry_for_entry(kernel, points):
+    expected = np.array([[kernel.eval(x, y) for y in points] for x in points])
+    assert np.array_equal(kernel.matrix(points), expected)
+
+
+# ---------------------------------------------------------------------------
 # scaling limits
 
 

@@ -3,9 +3,10 @@
 Outputs are plot-ready CSV (header row, 17 significant digits, no locale
 dependence) or JSON for empirical data.  Every file written with --out gets a
 sidecar `<out>.manifest.json` recording the command, parameters, seed,
-package version, wall time, and a checksum of the output bytes, so the run
-can be reproduced byte-identically.  Without --out the data goes to stdout
-and the manifest to stderr.
+package version, the numpy and scipy versions the numbers depend on, wall
+time, and a checksum of the output bytes, so the run can be reproduced
+byte-identically.  Without --out the data goes to stdout and the manifest
+to stderr.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid arguments,
 3 numerical non-convergence.
@@ -26,6 +27,9 @@ import sys
 import time
 from csv import writer as csv_writer
 from fractions import Fraction
+
+import numpy as np
+import scipy
 
 from . import __version__, ensembles, fredholm, kernels, models, rsk, sampler
 from .ensembles import MultiplicativeFunctional
@@ -124,6 +128,8 @@ def _emit(args: argparse.Namespace, text: str, t0: float, seed=None) -> None:
         "parameters": _manifest_params(args),
         "seed": seed,
         "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "wall_time_s": round(time.time() - t0, 6),
         "output_sha256": hashlib.sha256(data).hexdigest(),
     }

@@ -212,7 +212,10 @@ def det_continuum(kernel, t: float, tol: float = 1e-8) -> FredholmResult:
     """det(I - K)|_{L^2(t, inf)} by a symmetrized Nystrom rule, for a
     kernel on the reals in its edge scaling (Airy or Hermite).
 
-    Node count doubles from 40 until two resolutions agree within tol.
+    Node count doubles from 40 until two resolutions agree within tol, so
+    tol is an absolute accuracy.  Values below about 1e-40 (t < -10 for the
+    Airy kernel) have no relative accuracy: F(-12) comes out as 2.4e-63
+    where the left-tail asymptotic gives 1.85e-63.
     """
     if kernel.domain != "reals":
         raise TypeError("det_continuum expects the Airy or Hermite kernel")
@@ -221,7 +224,8 @@ def det_continuum(kernel, t: float, tol: float = 1e-8) -> FredholmResult:
 
 
 def tracy_widom(t: float, tol: float = 1e-8) -> float:
-    """F(t) = det(I - A)|_{L^2(t, inf)} for the Airy kernel."""
+    """F(t) = det(I - A)|_{L^2(t, inf)} for the Airy kernel, to absolute
+    accuracy tol; see ``det_continuum`` for the deep left tail."""
     return det_continuum(kernels.AiryKernel(), t, tol).value
 
 

@@ -1,11 +1,11 @@
 """Special-function evaluations living behind the correlation kernels.
 
-Integer-order Bessel values and their order-derivatives come from contour
-and real-line integral representations evaluated by node-doubling
-quadrature; the Airy function is a stitched Maclaurin series (evaluated in
-elevated precision, since the series cancels about thirteen digits near
-the stitch point) and asymptotic expansion; Charlier auxiliaries are the
-contour and cut integrals the kernel's integral form is assembled from.
+The Airy function and integer-order Bessel values J_n(2 sqrt(alpha)) come
+from `scipy.special`; the order-derivative of J that the Bessel kernel's
+diagonal needs comes from its contour and real-line integral
+representation, evaluated by panel quadrature; Hermite functions come from
+their three-term recurrence; Charlier auxiliaries are the contour and cut
+integrals the kernel's integral form is assembled from.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp, mpf
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import airy, jv
 
 from ._util import log_factorial
 
@@ -26,7 +26,6 @@ __all__ = [
     "airy_ai_prime",
     "bessel_j",
     "bessel_j_orderderiv",
-    "bessel_j_real_order",
     "charlier_auxiliary_A",
     "charlier_contour_D",
     "charlier_cut_F",
@@ -68,10 +67,6 @@ def _trapezoid_periodic_witherr(integrand, tol: float = _QUAD_TOL):
     raise ConvergenceError("periodic trapezoid rule did not stabilize")
 
 
-def _trapezoid_periodic(integrand, tol: float = _QUAD_TOL) -> complex:
-    return _trapezoid_periodic_witherr(integrand, tol)[0]
-
-
 @lru_cache(maxsize=64)
 def _panel_rule(order: int):
     x, w = leggauss(order)
@@ -105,69 +100,15 @@ def _gauss_panels(integrand, a: float, b: float, tol: float = _QUAD_TOL) -> comp
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of integer and real order, argument 2 sqrt(alpha)
-
-
-def _bessel_taylor(n: int, t: float) -> float:
-    """Origin series for J_n(t), n >= 0; used past the turning point where
-    the value is superexponentially small and only this route keeps
-    relative accuracy."""
-    lead = n * math.log(0.5 * t) - log_factorial(n)
-    if lead < -745.0:
-        return 0.0
-    term = math.exp(lead)
-    total = term
-    q = 0.25 * t * t
-    for k in range(1, 500):
-        term *= -q / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-    raise ConvergenceError("Bessel origin series stalled")
+# Bessel functions of integer order, argument 2 sqrt(alpha)
 
 
 @lru_cache(maxsize=1 << 18)
 def bessel_j(x: int, alpha: float) -> float:
-    """J_x(2 sqrt(alpha)) for integer order x of either sign.
-
-    Orders beyond the turning point use the origin series (the oscillatory
-    integral only has absolute accuracy, which is not enough where the value
-    is tiny and later multiplied by large order-derivative factors); the
-    series is avoided near the turning point at large argument, where its
-    alternating terms grow before the factorial takes over.
-    """
+    """J_x(2 sqrt(alpha)) for integer order x of either sign."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    t = 2.0 * math.sqrt(alpha)
-    n = abs(x)
-    sign = -1.0 if (x < 0 and (n & 1)) else 1.0
-    if n > t + 2.0 and (t <= 30.0 or n > 0.25 * t * t):
-        return sign * _bessel_taylor(n, t)
-
-    def integrand(theta):
-        return np.exp(1j * (x * theta - t * np.sin(theta)))
-
-    return _trapezoid_periodic(integrand).real
-
-
-def bessel_j_real_order(nu: float, alpha: float) -> float:
-    """J_nu(2 sqrt(alpha)) for real order, from the oscillatory contour part
-    plus the cut correction carrying sin(pi nu)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    t = 2.0 * math.sqrt(alpha)
-    sa = math.sqrt(alpha)
-
-    def osc(theta):
-        return np.cos(nu * theta - t * np.sin(theta))
-
-    term1 = _gauss_panels(osc, 0.0, np.pi).real / np.pi
-
-    def line(s):
-        return math.exp(sa * (s - 1.0 / s) + (nu - 1.0) * math.log(s))
-
-    term2, _ = quad(line, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=300)
-    return term1 - math.sin(math.pi * nu) / math.pi * term2
+    return float(jv(x, 2.0 * math.sqrt(alpha)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -191,113 +132,17 @@ def bessel_j_orderderiv(x: int, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Airy function by stitched series / asymptotics
-
-_AIRY_SWITCH = 8.0
-
-
-@lru_cache(maxsize=1)
-def _airy_series_constants():
-    with mp.workdps(50):
-        c1 = mp.power(3, mpf(-2) / 3) / mp.gamma(mpf(2) / 3)
-        c2 = mp.power(3, mpf(-1) / 3) / mp.gamma(mpf(1) / 3)
-        return +c1, +c2
-
-
-def _airy_series(x: float) -> tuple[float, float]:
-    """(Ai, Ai') by Maclaurin series, evaluated with 40 working digits
-    because the two sub-series cancel heavily for positive x near 8."""
-    with mp.workdps(40):
-        xm = mpf(x)
-        x3 = xm * xm * xm
-        f = term_f = mpf(1)
-        fp = mpf(0)
-        g = term_g = xm
-        gp = mpf(1)
-        k = 1
-        while True:
-            term_f = term_f * x3 / ((3 * k) * (3 * k - 1))
-            term_g = term_g * x3 / ((3 * k + 1) * (3 * k))
-            f += term_f
-            g += term_g
-            if xm != 0:
-                fp += term_f * (3 * k) / xm
-                gp += term_g * (3 * k + 1) / xm
-            if abs(term_f) < mpf("1e-45") * (1 + abs(f)) and abs(term_g) < mpf("1e-45") * (1 + abs(g)):
-                break
-            k += 1
-            if k > 400:
-                raise ConvergenceError("airy series did not converge")
-        c1, c2 = _airy_series_constants()
-        return float(c1 * f - c2 * g), float(c1 * fp - c2 * gp)
-
-
-def _airy_asym_coeffs(nmax: int = 40) -> tuple[list[float], list[float]]:
-    u = [1.0]
-    v = [1.0]
-    for k in range(1, nmax):
-        uk = u[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        u.append(uk)
-        v.append(-uk * (6 * k + 1) / (6 * k - 1))
-    return u, v
-
-
-_ASYM_U, _ASYM_V = _airy_asym_coeffs()
-
-
-def _asym_sum(coeffs, zeta: float, stride: int = 1, offset: int = 0) -> float:
-    """Alternating asymptotic sum of coeffs[k]/zeta^k over k = offset,
-    offset+stride, ..., truncated at the smallest term."""
-    total = 0.0
-    prev = math.inf
-    sign = 1.0
-    for k in range(offset, len(coeffs), stride):
-        term = coeffs[k] / zeta**k
-        if abs(term) > prev:
-            break
-        total += sign * term
-        sign = -sign
-        prev = abs(term)
-        if abs(term) < 1e-18:
-            break
-    return total
-
-
-def _airy_asym(x: float) -> tuple[float, float]:
-    if x > 0:
-        zeta = (2.0 / 3.0) * x**1.5
-        pre = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-        ai = pre * x**-0.25 * _asym_sum(_ASYM_U, zeta)
-        aip = -pre * x**0.25 * _asym_sum(_ASYM_V, zeta)
-        return ai, aip
-    z = -x
-    zeta = (2.0 / 3.0) * z**1.5
-    phi = zeta + math.pi / 4.0
-    s_even = _asym_sum(_ASYM_U, zeta, stride=2, offset=0)
-    s_odd = _asym_sum(_ASYM_U, zeta, stride=2, offset=1)
-    d_even = _asym_sum(_ASYM_V, zeta, stride=2, offset=0)
-    d_odd = _asym_sum(_ASYM_V, zeta, stride=2, offset=1)
-    pre = 1.0 / (math.sqrt(math.pi) * z**0.25)
-    ai = pre * (math.sin(phi) * s_even - math.cos(phi) * s_odd)
-    aip = -(z**0.25 / math.sqrt(math.pi)) * (math.cos(phi) * d_even + math.sin(phi) * d_odd)
-    return ai, aip
-
-
-@lru_cache(maxsize=1 << 18)
-def _airy_pair(x: float) -> tuple[float, float]:
-    if abs(x) <= _AIRY_SWITCH:
-        return _airy_series(x)
-    return _airy_asym(x)
+# Airy function
 
 
 def airy_ai(x: float) -> float:
     """The Airy function Ai."""
-    return _airy_pair(float(x))[0]
+    return float(airy(x)[0])
 
 
 def airy_ai_prime(x: float) -> float:
     """Derivative Ai' of the Airy function."""
-    return _airy_pair(float(x))[1]
+    return float(airy(x)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dope import fredholm, kernels
+from dope import fredholm, kernels, specfun
 from dope.ensembles import MultiplicativeFunctional
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -39,19 +39,38 @@ def test_public_determinants_keep_a_tol_default(name):
     assert isinstance(default, float) and default > 0.0
 
 
-def test_traced_lattice_call_reaches_the_hooked_layers(spans):
+def _traced_summary(spans, call):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        tracer.request_span(
-            0,
-            lambda: fredholm.det_discrete(
-                kernels.Bessel(2.0), MultiplicativeFunctional.indicator_gap(3)
-            ),
-        )
+        tracer.request_span(0, call)
     finally:
         tracer.uninstall()
-    summary = tracer.summary()
+    return tracer.summary()
+
+
+def test_traced_lattice_call_reaches_the_hooked_layers(spans):
+    summary = _traced_summary(
+        spans,
+        lambda: fredholm.det_discrete(
+            kernels.Bessel(2.0), MultiplicativeFunctional.indicator_gap(3)
+        ),
+    )
     for name in ("fredholm.det_discrete", "kernels.bessel_diag_tail", "fredholm.linalg_det"):
         assert summary[name]["calls"] >= 1, name
     assert summary["fredholm.det_discrete"]["measure"] > 0
+
+
+def test_traced_tracy_widom_call_reaches_the_hooked_layers(spans):
+    summary = _traced_summary(spans, lambda: fredholm.tracy_widom(-2.0))
+    for name in ("specfun.airy", "fredholm.det_continuum", "fredholm.linalg_det"):
+        assert summary[name]["calls"] >= 1, name
+    assert summary["fredholm.det_continuum"]["measure"] > 0
+
+
+def test_cached_special_functions_keep_their_cache(spans):
+    # the traced run reads hits and misses of these through cache_info
+    for attr in ("bessel_j", "bessel_j_orderderiv"):
+        fn = getattr(specfun, attr)
+        assert callable(getattr(fn, "cache_info", None)), attr
+        assert spans.CACHED[f"specfun.{attr}"] is fn

@@ -6,7 +6,9 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy
 
 from dope import cli, fredholm
 
@@ -187,6 +189,8 @@ def test_out_file_and_manifest(tmp_path, capsys):
     assert manifest["parameters"]["alpha"] == 1.0
     assert manifest["output_sha256"] == hashlib.sha256(text.encode()).hexdigest()
     assert manifest["wall_time_s"] >= 0.0
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
 
     # rerunning into a second file must reproduce the bytes exactly
     target2 = tmp_path / "again.csv"

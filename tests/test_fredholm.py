@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -161,6 +162,39 @@ def test_tracy_widom_monotone_and_tight_tails():
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] > 0.995
     assert values[0] < 0.1
+
+
+@pytest.mark.parametrize("t", [-6.0, -7.0, -8.0, -9.0, -10.0])
+def test_tracy_widom_left_tail_matches_the_asymptotic(t):
+    # log F(s) = -|s|^3/12 - log|s|/8 + log(2)/24 + zeta'(-1) + 3/(64|s|^3)
+    # + O(|s|^-6) (Deift-Its-Krasovsky 2008); compared in relative terms,
+    # where the absolute tol of the Nystrom rule says nothing
+    with mpmath.workdps(30):
+        a = mpmath.mpf(-t)
+        log_ref = (
+            -(a**3) / 12
+            - mpmath.log(a) / 8
+            + mpmath.log(2) / 24
+            + mpmath.zeta(-1, derivative=1)
+            + 3 / (64 * a**3)
+        )
+        ref = float(mpmath.exp(log_ref))
+    assert abs(tracy_widom(t) - ref) <= 1e-4 * ref
+
+
+def test_tracy_widom_mean_and_variance():
+    # published F_2 moments (Tracy-Widom 1994; Bornemann, Math. Comp. 2010),
+    # from E X = b - int F and E X^2 = b^2 - 2 int t F over [-9, b]; the
+    # tails left outside that interval weigh less than 1e-11
+    lo, hi = -9.0, 6.0
+    u, w = np.polynomial.legendre.leggauss(120)
+    ts = 0.5 * (hi + lo) + 0.5 * (hi - lo) * u
+    ws = 0.5 * (hi - lo) * w
+    f = np.array([tracy_widom(float(t)) for t in ts])
+    mean = hi - np.dot(ws, f)
+    second = hi * hi - 2.0 * np.dot(ws, ts * f)
+    assert mean == pytest.approx(-1.7710868074, abs=1e-9)
+    assert second - mean * mean == pytest.approx(0.8131947928, abs=1e-9)
 
 
 def test_finite_rank_edge_law_brackets_the_limit():

@@ -36,16 +36,6 @@ from .ensembles import MultiplicativeFunctional
 from .partitions import Partition, enumerate_partitions
 from .specfun import ConvergenceError, bessel_j
 
-_SUITE_NAMES = (
-    "plancherel-s7",
-    "words-exact",
-    "percolation-exact",
-    "aztec-exact",
-    "hexagon-exact",
-    "kernel-identities",
-)
-
-
 # ---------------------------------------------------------------------------
 # small plumbing
 
@@ -509,7 +499,7 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     if args.suite not in _SUITES:
         sys.stderr.write(
-            f"error: unknown suite {args.suite!r}; choose from {', '.join(_SUITE_NAMES)}\n"
+            f"error: unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}\n"
         )
         return 2
     checks = _SUITES[args.suite]()
@@ -581,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.set_defaults(func=_cmd_sample)
 
     ver = sub.add_parser("verify", help="run a named exact-oracle suite")
-    ver.add_argument("suite", help=f"one of: {', '.join(_SUITE_NAMES)}")
+    ver.add_argument("suite", help=f"one of: {', '.join(_SUITES)}")
     ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -35,6 +35,8 @@ from .specfun import ConvergenceError
 _NYSTROM_OFFSET = 10.0
 _NYSTROM_START = 40
 _NYSTROM_CAP = 640
+# steps of 4 sites the truncation search takes before giving up
+_TRUNCATION_STEPS = 4000
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,11 @@ def admissible_counts(k: int):
 # Discrete determinants
 
 
-def _truncation_point(kernel, shift: int, start: int, goal: float, cap_steps: int = 4000):
+def _truncation_point(kernel, shift: int, start: int, goal: float):
     """First X in start, start + 4, ... whose diagonal tail
     sum_{y > X} K(y + shift, y + shift) is below goal, and that tail."""
     x = start
-    for _ in range(cap_steps):
+    for _ in range(_TRUNCATION_STEPS):
         tail = kernel.diag_tail(x + shift)
         if tail < goal:
             return x, tail
@@ -242,7 +244,7 @@ def _coefficient_weights(degree: int) -> np.ndarray:
     return np.linalg.inv(vand), t_nodes
 
 
-def _joint_from_grid(det_at, k: int, tol: float) -> float:
+def _joint_from_grid(det_at, k: int) -> float:
     """Sum the admissible monomial coefficients of D(-1 + t_1, ...).
 
     det_at(z) evaluates the generating determinant at a point z in
@@ -263,7 +265,7 @@ def _joint_from_grid(det_at, k: int, tol: float) -> float:
     return float(sum(coeff[n] for n in admissible_counts(k)))
 
 
-def _joint_from_matrix(base: np.ndarray, labels, k: int, tol: float) -> float:
+def _joint_from_matrix(base: np.ndarray, labels, k: int) -> float:
     """Joint law from the operator matrix ``base`` on points labelled by
     their interval: D(z) = det(I + base diag(z_label))."""
     eye = np.eye(len(labels))
@@ -272,7 +274,7 @@ def _joint_from_matrix(base: np.ndarray, labels, k: int, tol: float) -> float:
         zeta = np.array([z[j] for j in labels])
         return float(np.linalg.det(eye + base * zeta[None, :]))
 
-    return _joint_from_grid(det_at, k, tol)
+    return _joint_from_grid(det_at, k)
 
 
 def _joint_discrete(kernel: kernels.Bessel, sys: IntervalSystem, tol: float):
@@ -284,7 +286,7 @@ def _joint_discrete(kernel: kernels.Bessel, sys: IntervalSystem, tol: float):
     cutoff, _ = _truncation_point(kernel, 0, start, goal)
     points = [y for y in range(floor + 1, cutoff + 1) if sys.interval_index(y)]
     labels = [sys.interval_index(y) - 1 for y in points]
-    return _joint_from_matrix(kernel.matrix(points), labels, k, tol)
+    return _joint_from_matrix(kernel.matrix(points), labels, k)
 
 
 def _joint_airy_nodes(sys: IntervalSystem, n: int):
@@ -307,11 +309,11 @@ def _joint_airy_nodes(sys: IntervalSystem, n: int):
     return np.concatenate(s_all), np.concatenate(w_all), np.array(labels)
 
 
-def _joint_airy_value(kernel, sys: IntervalSystem, n: int, tol: float) -> float:
+def _joint_airy_value(kernel, sys: IntervalSystem, n: int) -> float:
     s, w, labels = _joint_airy_nodes(sys, n)
     root = np.sqrt(w)
     weighted = _edge_kernel_on_nodes(kernel, s) * np.outer(root, root)
-    return _joint_from_matrix(weighted, labels, sys.k, tol)
+    return _joint_from_matrix(weighted, labels, sys.k)
 
 
 def joint_rows(kernel, sys: IntervalSystem, tol: float = 1e-8) -> float:
@@ -328,5 +330,5 @@ def joint_rows(kernel, sys: IntervalSystem, tol: float = 1e-8) -> float:
         raise TypeError("joint_rows supports the Bessel and Airy kernels")
     if kernel.domain == "integers":
         return _joint_discrete(kernel, sys, tol)
-    value, _, _ = _doubled(lambda n: _joint_airy_value(kernel, sys, n, tol), tol)
+    value, _, _ = _doubled(lambda n: _joint_airy_value(kernel, sys, n), tol)
     return value

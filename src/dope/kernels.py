@@ -7,9 +7,11 @@ pair (u(x), v(x)) of weighted functions, a constant and a diagonal
 formula, and one shared quotient const (u(x) v(y) - v(x) u(y)) / (x - y)
 gives both ``eval(x, y)`` and ``matrix(points)``, the whole kernel matrix
 on a point list, entry for entry equal to ``eval``.  Diagonal values use
-analytically differentiated forms (never a numeric limit of the quotient,
-which is 0/0 there).  The lattice kernels also give ``diag_tail(x)``, the
-trace sum_{y > x} K(y, y) that certifies a truncated Fredholm determinant.
+analytically differentiated forms or a projection sum (never a numeric
+limit of the quotient, which is 0/0 there).  The lattice kernels also give
+``diag_tail(x)``, the trace sum_{y > x} K(y, y) that certifies a truncated
+Fredholm determinant.  The Charlier and Meixner kernels share one rank-m
+projection base, with its stable dual route below the band.
 The discrete Bessel kernel additionally has a series representation, the
 Charlier kernel projection and contour routes, and the Airy kernel an
 integral representation; the pairs of routes are kept separate so they can
@@ -190,95 +192,60 @@ class Bessel(_ChristoffelDarboux):
         return bessel_diag_tail(self.alpha, x)
 
 
-@dataclass(frozen=True)
-class CharlierKernel(_ChristoffelDarboux):
-    """Charlier kernel on the naturals: rank-m projection onto the span of
-    the first m orthonormal Charlier functions with parameter a = alpha/m.
+class _LatticeProjection(_ChristoffelDarboux):
+    """Rank-m projection kernel K(x, y) = sum_{n<m} phi_n(x) phi_n(y) on the
+    naturals, phi_n = p_n sqrt(w) the weighted orthonormal functions of a
+    discrete orthogonal polynomial ensemble.
 
-    Off-diagonal values come from the Christoffel-Darboux quotient with
-    constant sqrt(alpha).  Diagonal values use the contour form (circle
-    integrals of four bounded auxiliaries plus a branch-cut correction);
-    when that form loses too many digits to cancellation, overflows, or
-    fails to converge, the exact projection sum is used instead.
+    A subclass supplies ``m``, ``_log_weight``, the recurrence coefficients
+    ``_a_fn`` and ``_b_fn``, and ``_crest``.  The Christoffel-Darboux
+    constant is a_m and the diagonal is the projection sum.
 
     The orthonormal functions phi_n(x) are exponentially small when x lies
     far below the oscillatory band of degree n, and there the upward degree
     recurrence is unstable (the wanted solution is the recessive one).  In
     that wedge values are obtained through the degree-argument symmetry
     phi_n(x) = (-1)^(n+x) phi_x(n), which needs only a short recurrence of
-    degree x at an argument above its band.
+    degree x at an argument above its band.  ``_crest(x)`` is the highest
+    degree the upward recurrence at argument x can reach while the target is
+    still at or before the crest of n -> |phi_n(x)|.
     """
 
-    m: int
-    alpha: float
     domain = "naturals"
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-
     @property
-    def a(self) -> float:
-        return self.alpha / self.m
+    def _cd_const(self) -> float:
+        return self._a_fn(self.m)
 
-    def _log_weight(self, x: int) -> float:
-        a = self.a
-        return -a + x * math.log(a) - log_factorial(x)
-
-    def _a_fn(self, n: int) -> float:
-        return math.sqrt(n * self.a)
-
-    def _b_fn(self, n: int) -> float:
-        return n + self.a
-
-    def _crest(self, x: int) -> int:
-        # Highest degree the upward recurrence at argument x can reach while
-        # the target is still at or before the crest of n -> |phi_n(x)|.
-        return int(math.ceil(x + 2.0 * math.sqrt(self.a * (x + 1.0)))) + 4
+    def _upward(self, x: int, count: int):
+        return _weighted_recurrence(float(x), count, self._log_weight(x), self._a_fn, self._b_fn)
 
     def _phi_dual(self, n: int, x: int) -> float:
         # phi_n(x) for n past the crest, via phi_n(x) = (-1)^(n+x) phi_x(n).
         sgn = -1.0 if (n + x) & 1 else 1.0
-        _, (_, val) = _weighted_recurrence(
-            float(n), x, self._log_weight(n), self._a_fn, self._b_fn
-        )
+        _, (_, val) = self._upward(n, x)
         return sgn * val
-
-    @property
-    def _cd_const(self) -> float:
-        return math.sqrt(self.alpha)
 
     def _pair(self, x: int):
         """Return (phi_m(x), phi_{m-1}(x)) by a stable route."""
         if self.m <= self._crest(x):
-            _, (lo, hi) = _weighted_recurrence(
-                float(x), self.m, self._log_weight(x), self._a_fn, self._b_fn
-            )
+            _, (lo, hi) = self._upward(x, self.m)
             return hi, lo
         return self._phi_dual(self.m, x), self._phi_dual(self.m - 1, x)
 
     def _phi_column(self, x: int):
         """Return [phi_0(x), ..., phi_{m-1}(x)] by stable routes."""
-        m = self.m
-        crest = self._crest(x)
-        if m - 1 <= crest:
-            return _weighted_recurrence(
-                float(x), m, self._log_weight(x), self._a_fn, self._b_fn
-            )[0]
-        out = _weighted_recurrence(
-            float(x), crest + 1, self._log_weight(x), self._a_fn, self._b_fn
-        )[0]
-        for n in range(crest + 1, m):
-            out.append(self._phi_dual(n, x))
-        return out
+        upward = min(self.m, self._crest(x) + 1)
+        column, _ = self._upward(x, upward)
+        return column + [self._phi_dual(n, x) for n in range(upward, self.m)]
+
+    def _diagonal(self, x: int) -> float:
+        return math.fsum(p * p for p in self._phi_column(x))
 
     def projection_eval(self, x: int, y: int) -> float:
         """Independent route: the projection sum sum_{n<m} phi_n(x) phi_n(y),
         valid on and off the diagonal."""
-        if x < 0 or y < 0:
-            raise ValueError("Charlier kernel arguments must be nonnegative")
+        x, y = self._site(x), self._site(y)
         cx = self._phi_column(x)
         cy = cx if y == x else self._phi_column(y)
         return math.fsum(px * py for px, py in zip(cx, cy))
@@ -302,6 +269,50 @@ class CharlierKernel(_ChristoffelDarboux):
             if h not in diagonals:
                 diagonals[h] = self.projection_eval(h, h)
         return max(0.0, self.m - math.fsum(diagonals[h] for h in range(x + 1)))
+
+
+@dataclass(frozen=True)
+class CharlierKernel(_LatticeProjection):
+    """Charlier kernel on the naturals: rank-m projection onto the span of
+    the first m orthonormal Charlier functions with parameter a = alpha/m.
+
+    Off-diagonal values come from the Christoffel-Darboux quotient with
+    constant sqrt(alpha).  Diagonal values use the contour form (circle
+    integrals of four bounded auxiliaries plus a branch-cut correction);
+    when that form loses too many digits to cancellation, overflows, or
+    fails to converge, the exact projection sum is used instead.
+    """
+
+    m: int
+    alpha: float
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("m must be a positive integer")
+        if not self.alpha > 0.0:
+            raise ValueError("alpha must be positive")
+
+    @property
+    def a(self) -> float:
+        return self.alpha / self.m
+
+    @property
+    def _cd_const(self) -> float:
+        # a_m exactly: the base's sqrt(m (alpha / m)) can be a bit off
+        return math.sqrt(self.alpha)
+
+    def _log_weight(self, x: int) -> float:
+        a = self.a
+        return -a + x * math.log(a) - log_factorial(x)
+
+    def _a_fn(self, n: int) -> float:
+        return math.sqrt(n * self.a)
+
+    def _b_fn(self, n: int) -> float:
+        return n + self.a
+
+    def _crest(self, x: int) -> int:
+        return int(math.ceil(x + 2.0 * math.sqrt(self.a * (x + 1.0)))) + 4
 
     def contour_eval(self, x: int, y: int) -> float:
         """Off-diagonal value from the circle-integral auxiliaries.
@@ -366,20 +377,18 @@ class CharlierKernel(_ChristoffelDarboux):
             and err <= 1e-11
         )
         if not ok:
-            column = self._phi_column(x)
-            return math.fsum(p * p for p in column)
+            return super()._diagonal(x)
         return val
 
 
 @dataclass(frozen=True)
-class MeixnerKernel(_ChristoffelDarboux):
+class MeixnerKernel(_LatticeProjection):
     """Meixner kernel on the naturals: rank-m projection built from the
     orthonormal functions for the weight binom(x+k-1, x) q^x."""
 
     q: float
     k: int
     m: int
-    domain = "naturals"
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -403,22 +412,11 @@ class MeixnerKernel(_ChristoffelDarboux):
     def _b_fn(self, n: int) -> float:
         return (n + (n + self.k) * self.q) / (1.0 - self.q)
 
-    @property
-    def _cd_const(self) -> float:
-        return self._a_fn(self.m)
-
-    def _recurrence(self, x: int):
-        return _weighted_recurrence(x, self.m, self._log_weight(x), self._a_fn, self._b_fn)
-
-    def _pair(self, x: int):
-        _, (lo, hi) = self._recurrence(x)
-        return hi, lo
-
-    def _diagonal(self, x: int) -> float:
-        diag = 0.0
-        for phi in self._recurrence(x)[0]:
-            diag += phi * phi
-        return diag
+    def _crest(self, x: int) -> int:
+        # degree at which the lower band edge b_n - 2 a_n passes x
+        q, k, rq = self.q, self.k, math.sqrt(self.q)
+        edge = (x * (1.0 - q) - k * q + (k - 1) * rq) / (1.0 - rq) ** 2
+        return max(0, int(math.ceil(edge)) + 4)
 
 
 @dataclass(frozen=True)
@@ -617,8 +615,9 @@ def edge_coordinates(kernel, xi: float) -> tuple[int, float]:
     """Map an edge-scaled coordinate to the integer lattice point actually
     evaluated, returning (lattice point, effective scaled coordinate).
 
-    The effective coordinate is the cell centre (point + 1/2 - nu) / sigma,
-    with nu the edge and sigma the edge scale.  The lattice kernels sum over
+    Every lattice kernel takes the site point = round_half_up(nu + xi sigma),
+    with nu the edge and sigma the edge scale, and the effective coordinate is
+    the cell centre (point + 1/2 - nu) / sigma.  The lattice kernels sum over
     unit cells (B(x, y) = sum_{s>=1} J_{x+s} J_{y+s}), so by the midpoint rule
     the value at site x stands for the continuum point half a cell above x,
     not for x itself.  At alpha = 1e4 the scaled Bessel kernel on the 3x3 grid
@@ -630,10 +629,7 @@ def edge_coordinates(kernel, xi: float) -> tuple[int, float]:
     if kernel.domain == "reals":
         raise TypeError("edge lattice coordinates exist for the discrete kernels only")
     nu, sigma = _edge_frame(kernel)
-    if isinstance(kernel, Bessel):
-        point = round_half_up(nu + xi * sigma)
-    else:
-        point = int(math.floor(nu)) + round_half_up(xi * sigma)
+    point = round_half_up(nu + xi * sigma)
     return point, (point + 0.5 - nu) / sigma
 
 

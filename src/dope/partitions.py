@@ -198,38 +198,3 @@ def from_particles(h: Sequence[int]) -> Partition:
     if m and h[-1] < 0:
         raise ValueError("particle coordinates must be nonnegative")
     return Partition(tuple(h[i] - (m - 1 - i) for i in range(m)))
-
-
-def _complement_positions(mu: Partition, n_rows: int, m_cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row positions s_i = mu_i + n + 1 - i and column positions r_j = n + j - mu'_j.
-
-    For mu inside an n x m box the two families partition {1, ..., n + m};
-    tests use this as the correctness predicate.
-    """
-    if mu.length > n_rows or (mu.parts and mu.parts[0] > m_cols):
-        raise ValueError("mu must fit in the n_rows x m_cols box")
-    mu_p = mu.padded(n_rows)
-    mu_conj = conjugate(mu).padded(m_cols)
-    s = tuple(mu_p[i - 1] + n_rows + 1 - i for i in range(1, n_rows + 1))
-    r = tuple(n_rows + j - mu_conj[j - 1] for j in range(1, m_cols + 1))
-    return s, r
-
-
-def _conjugate_vandermonde_identity(mu: Partition, n_rows: int, m_cols: int) -> bool:
-    """Exact check of the conjugate-shape Vandermonde product identity.
-
-    V_m(mu') equals prod_{j=1}^{n+m-1} j! times V_n(mu) W_n(mu) times
-    prod_{j=1}^{n} 1/(m + j - 1 - mu_j)! for mu inside an n x m box.
-    """
-    mu_conj = conjugate(mu)
-    if mu.length > n_rows or mu_conj.length > m_cols:
-        raise ValueError("mu must fit in the n_rows x m_cols box")
-    lhs = Fraction(vandermonde_v(mu_conj, m_cols))
-    rhs = Fraction(1)
-    for j in range(1, n_rows + m_cols):
-        rhs *= math.factorial(j)
-    rhs *= vandermonde_v(mu, n_rows) * weight_w(mu, n_rows)
-    mu_p = mu.padded(n_rows)
-    for j in range(1, n_rows + 1):
-        rhs /= math.factorial(m_cols + j - 1 - mu_p[j - 1])
-    return lhs == rhs

@@ -60,14 +60,14 @@ def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform permutation of {0..n-1} by Fisher-Yates shuffling."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(int(x) for x in rng.permutation(n))
+    return tuple(rng.permutation(n).tolist())
 
 
 def sample_word(m: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Word of length n with i.i.d. uniform letters from {0..m-1}."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    return tuple(int(x) for x in rng.integers(0, m, size=n))
+    return tuple(rng.integers(0, m, size=n).tolist())
 
 
 def sample_bernoulli_matrix(

@@ -170,6 +170,51 @@ def test_meixner_trace_is_rank():
         assert -1e-12 <= kernel.eval(x, x) <= 1.0 + 1e-12
 
 
+def _meixner_exact_kernel(q, k, m, sites, dps=250):
+    """{(x, y): K(x, y)} from the finite hypergeometric sums
+    M_n(x) = sum_j (-n)_j (-x)_j / ((k)_j j!) (1 - 1/q)^j, with
+    K(x, y) = sqrt(w(x) w(y)) sum_{n<m} M_n(x) M_n(y) (k)_n q^n / n! and
+    w(x) = (k)_x q^x (1 - q)^k / x!; no recurrence is involved."""
+    with mp.workdps(dps):
+        qm = mp.mpf(q)
+        z = 1 - 1 / qm
+        norms = [mp.rf(k, n) * qm**n / mp.factorial(n) for n in range(m)]
+        columns = {}
+        for x in sorted({s for pair in sites for s in pair}):
+            col = []
+            for n in range(m):
+                term, total = mp.mpf(1), mp.mpf(1)
+                for j in range(min(n, x)):
+                    term *= mp.mpf((j - n) * (j - x)) / ((k + j) * (j + 1)) * z
+                    total += term
+                col.append(total)
+            weight = mp.rf(k, x) * qm**x * (1 - qm) ** k / mp.factorial(x)
+            columns[x] = (col, mp.sqrt(weight))
+        out = {}
+        for x, y in sites:
+            (cx, wx), (cy, wy) = columns[x], columns[y]
+            out[x, y] = float(wx * wy * mp.fsum(a * b * c for a, b, c in zip(cx, cy, norms)))
+    return out
+
+
+@pytest.mark.parametrize("q,k,m", [(0.1, 4, 80), (0.5, 1, 120), (0.3, 2, 60)])
+def test_meixner_matches_exact_hypergeometric_sums(q, k, m):
+    # Sites far below the band of degree m need the dual route: the plain
+    # upward recurrence gave K(0, 0) = 4.3e37 at (0.1, 4, 80) and 1.0016 at
+    # (0.5, 1, 120) instead of 1.  A lost (-1)^(n+x) on the dual route
+    # flips K(x, y) by (-1)^(x+y+1), so the even offset x + 2 is checked
+    # beside x + 3.
+    xs = [0, 1, 2, 5, 10, 30, 60, 100, 200]
+    sites = [(x, x + d) for x in xs for d in (0, 2, 3)]
+    exact = _meixner_exact_kernel(q, k, m, sites)
+    kernel = MeixnerKernel(q=q, k=k, m=m)
+    for x, y in sites:
+        assert abs(kernel.eval(x, y) - exact[x, y]) <= 1e-12, (x, y)
+    # a projection diagonal lies in [0, 1], here up to the same rounding
+    for x in xs:
+        assert -1e-12 <= kernel.eval(x, x) <= 1.0 + 1e-12, x
+
+
 def test_meixner_validation():
     with pytest.raises(ValueError):
         MeixnerKernel(q=1.0, k=2, m=3)
@@ -312,6 +357,8 @@ def test_gram_matrices_are_positive_semidefinite(kernel, points):
         # 0.5 and 0.5 + 3e-7 are closer than the near-diagonal width
         (AiryKernel(), [-6.0, -3.0, -1.0, 0.0, 0.5, 0.5 + 3e-7, 1.5, 4.0]),
         (HermiteKernel(6), [-2.3, -1.1, 0.1, 1.7, 2.6]),
+        # these sites straddle the crest of m = 80, so both routes are used
+        (MeixnerKernel(q=0.1, k=4, m=80), [0, 3, 10, 40, 80, 120]),
     ],
 )
 def test_matrix_equals_eval_entry_for_entry(kernel, points):

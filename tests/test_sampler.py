@@ -66,6 +66,17 @@ def test_sampler_outputs_have_the_right_shape():
     assert geo.shape == (4, 4) and geo.min() >= 0
 
 
+@pytest.mark.parametrize("seed,stream", [(0, 0), (5, 3), (1600, 1)])
+def test_word_and_permutation_tuples_are_unchanged_by_tolist(seed, stream):
+    # the same draws as the element-by-element tuple(int(x) for x in ...)
+    rng, ref = make_rng(seed, stream), make_rng(seed, stream)
+    word = sample_word(7, 1600, rng)
+    perm = sample_permutation(300, rng)
+    assert word == tuple(int(x) for x in ref.integers(0, 7, size=1600))
+    assert perm == tuple(int(x) for x in ref.permutation(300))
+    assert all(type(x) is int for x in word + perm)
+
+
 def test_geometric_matrix_mean():
     rng = make_rng(11)
     draws = sample_geometric_matrix(200, 0.2, rng)

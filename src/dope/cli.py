@@ -175,18 +175,6 @@ def _cmd_gap(args) -> int:
             return (n, res.value, res.tail_estimate)
 
         rows = [one(n) for n in parse_range(args.n)]
-    elif args.kernel == "airy":
-        if args.t is None:
-            raise ValueError("--kernel airy needs --t")
-        ker = kernels.AiryKernel()
-
-        def one(t):
-            res = fredholm.det_continuum(ker, float(t), tol=args.tol)
-            if not res.converged:
-                raise ConvergenceError(f"gap at threshold {t} did not converge")
-            return (float(t), res.value, res.tail_estimate)
-
-        rows = [one(t) for t in parse_range(args.t)]
     elif args.model == "percolation":
         if args.M is None or args.N is None or args.p is None or args.n is None:
             raise ValueError("--model percolation needs --M, --N, --p and --n")
@@ -526,11 +514,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gap = sub.add_parser("gap", help="gap-probability tables (CSV)")
-    gap.add_argument("--kernel", choices=("bessel", "airy"))
+    gap.add_argument("--kernel", choices=("bessel",))
     gap.add_argument("--model", choices=("percolation", "word"))
     gap.add_argument("--alpha", type=float, help="kernel intensity or Poisson mean")
     gap.add_argument("--n", help="integer threshold grid, e.g. 0..8")
-    gap.add_argument("--t", help="real threshold grid, e.g. -4..2:0.25")
     gap.add_argument("--M", type=int, help="rows (percolation) or alphabet size (word)")
     gap.add_argument("--N", type=int, help="columns (percolation) or word length")
     gap.add_argument("--p", help="Bernoulli parameter; fractions like 1/4 stay exact")

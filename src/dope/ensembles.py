@@ -28,6 +28,7 @@ from .partitions import (
     vandermonde_v,
     weight_w,
 )
+from .specfun import ConvergenceError
 
 __all__ = [
     "Charlier",
@@ -180,23 +181,11 @@ def _site_weight_exact(spec, x: int) -> Fraction:
 
 
 def _log_site_weight(spec, x: int) -> float:
-    if x < 0:
-        return -math.inf
+    """log w(x) of the Meixner or Charlier weight at a site x >= 0."""
     if isinstance(spec, Meixner):
         return log_binomial(x + spec.k - 1, x) + x * math.log(spec.q)
-    if isinstance(spec, Charlier):
-        a = spec.a
-        return -a + x * math.log(a) - log_factorial(x)
-    if isinstance(spec, Krawtchouk):
-        if x > spec.k:
-            return -math.inf
-        p = float(spec.p)
-        return log_binomial(spec.k, x) + x * math.log(p) + (spec.k - x) * math.log1p(-p)
-    if isinstance(spec, Hahn):
-        if x > spec.n:
-            return -math.inf
-        return log_binomial(x + spec.a, x) + log_binomial(spec.n + spec.b - x, spec.n - x)
-    raise TypeError(f"no site weight for {type(spec).__name__}")
+    a = spec.a
+    return -a + x * math.log(a) - log_factorial(x)
 
 
 def _check_config(h: Sequence[int]) -> tuple[int, ...]:
@@ -207,14 +196,6 @@ def _check_config(h: Sequence[int]) -> tuple[int, ...]:
     if h and h[-1] < 0:
         raise ValueError("particles live on nonnegative sites")
     return h
-
-
-def _log_delta_sq(h: Sequence[int]) -> float:
-    out = 0.0
-    for i in range(len(h)):
-        for j in range(i + 1, len(h)):
-            out += 2.0 * math.log(abs(h[i] - h[j]))
-    return out
 
 
 def _delta_sq_exact(h: Sequence[int]) -> int:
@@ -236,7 +217,8 @@ def normalization(spec):
     Delta^2 prod w over ordered tuples {0..k}^n (so the configuration
     probability carries an extra n!).  For Hahn it is the exact sum of
     Delta^2 prod w over configurations.  Meixner and Charlier return the
-    constant relating Delta^2 prod w to the partition-coordinate density.
+    constant relating Delta^2 prod w to the partition-coordinate density,
+    exactly, for the rational value of each parameter.
     """
     if isinstance(spec, Krawtchouk):
         p = Fraction(spec.p)
@@ -260,10 +242,10 @@ def normalization(spec):
         return z
     if isinstance(spec, Charlier):
         m = spec.m
-        z = 1.0
+        z = (Fraction(spec.alpha) / m) ** (m * (m - 1) // 2)
         for j in range(1, m):
             z *= math.factorial(j)
-        return z * spec.a ** (m * (m - 1) // 2)
+        return z
     raise TypeError(f"no normalization for {type(spec).__name__}")
 
 
@@ -358,22 +340,12 @@ def pmf_particles(spec, h: Sequence[int]) -> float:
     h = _check_config(h)
     if isinstance(spec, (Krawtchouk, Hahn)):
         return float(pmf_exact(spec, h))
-    if isinstance(spec, Meixner):
-        if len(h) != spec.m:
-            raise ValueError("need exactly m particles")
-        log_z = (spec.m * (spec.m - 1) // 2) * math.log(float(spec.q))
-        log_z -= spec.m * spec.n * math.log1p(-float(spec.q))
-        for j in range(spec.m):
-            log_z += log_factorial(j) + log_factorial(spec.n - spec.m + j) - log_factorial(spec.n - spec.m)
-    elif isinstance(spec, Charlier):
-        if len(h) != spec.m:
-            raise ValueError("need exactly m particles")
-        log_z = (spec.m * (spec.m - 1) // 2) * math.log(spec.a)
-        for j in range(1, spec.m):
-            log_z += log_factorial(j)
-    else:
+    if not isinstance(spec, (Meixner, Charlier)):
         raise TypeError(f"no particle-coordinate pmf for {type(spec).__name__}")
-    log_p = _log_delta_sq(h) - log_z
+    if len(h) != spec.m:
+        raise ValueError("need exactly m particles")
+    z = normalization(spec)
+    log_p = math.log(_delta_sq_exact(h)) - math.log(z.numerator) + math.log(z.denominator)
     for x in h:
         log_p += _log_site_weight(spec, x)
     return math.exp(log_p)
@@ -445,6 +417,10 @@ class MultiplicativeFunctional:
 # expectations by direct summation
 
 
+_POISSON_SIZE_CAP = 400
+_SHELL_CAP = 10000
+
+
 def _poisson_tail_after(alpha: float, n0: int, tol: float, c: float, shift: int) -> bool:
     """True when sum_{n > n0} e^-alpha (alpha^n / n!) c^(n+shift) < tol.
 
@@ -477,17 +453,20 @@ def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
             pois = math.exp(log_pois)
             inner = 0.0
             for lam in enumerate_partitions(n):
-                f = frobenius_dimension(lam)
-                inner += float(Fraction(f * f, math.factorial(n))) * g(lam)
+                inner += float(pmf_exact(Plancherel(n), lam)) * g(lam)
             total += pois * inner
             if n > alpha and _poisson_tail_after(alpha, n, tol, c, g.shift):
                 return total
             n += 1
-            if n > 400:
-                raise RuntimeError("poissonized sum failed to truncate")
+            if n > _POISSON_SIZE_CAP:
+                raise ConvergenceError("poissonized sum failed to truncate")
     if isinstance(spec, (Meixner, Charlier)):
+        # Shells of small size are negligible too when alpha or q is large,
+        # so a shell counts as quiet only once half the mass is in: the size
+        # law is unimodal, so such a shell lies past its mode.
         m = spec.m
         total = 0.0
+        mass = 0.0
         quiet = 0
         size = 0
         while quiet < 4:
@@ -498,10 +477,12 @@ def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
                 shell_mass += p
                 shell += p * g(lam)
             total += shell
-            quiet = quiet + 1 if shell_mass * max(g.bound, 1.0) < tol / 8 and size > m else 0
+            mass += shell_mass
+            negligible = shell_mass * max(g.bound, 1.0) < tol / 8
+            quiet = quiet + 1 if negligible and mass > 0.5 and size > m else 0
             size += 1
-            if size > 10000:
-                raise RuntimeError("ensemble sum failed to truncate")
+            if size > _SHELL_CAP:
+                raise ConvergenceError("ensemble sum failed to truncate")
         return total
     if isinstance(spec, (Krawtchouk, Hahn)):
         total = 0.0
@@ -515,18 +496,18 @@ def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
 # Coulomb-gas approximation to the Poissonized expectation
 
 
-def coulomb_approx_F(alpha, m: int, g: MultiplicativeFunctional, cutoff: int | None = None):
+def coulomb_approx_F(alpha, m: int, g: MultiplicativeFunctional):
     """Ratio F_m[g] / F_m[1] for the gas Delta(x)^2 prod alpha^{x_j} / (x_j!)^2
     on m particles, which approaches the Poissonized-Plancherel E[g] as m grows.
 
     Evaluated through the Hankel determinant det[ sum_x x^{j+k} w(x) f(x + shift - m) ]
-    rather than a sum over configurations.  Exact Fraction arithmetic when
-    alpha is rational and the generator returns rationals; float otherwise.
+    over x <= 3 sqrt(alpha) + 6 m + 25, rather than a sum over configurations.
+    Exact Fraction arithmetic when alpha is rational and the generator
+    returns rationals; float otherwise.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if cutoff is None:
-        cutoff = int(3.0 * math.sqrt(float(alpha))) + 6 * m + 25
+    cutoff = int(3.0 * math.sqrt(float(alpha))) + 6 * m + 25
     exact = isinstance(alpha, (int, Fraction))
     if exact:
         alpha_f = Fraction(alpha)

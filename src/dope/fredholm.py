@@ -6,8 +6,9 @@ Two settings share the same truncate-and-certify pattern:
   every lattice kernel: it truncates at the first point where the kernel's
   ``diag_tail`` certifies the neglected trace, takes the kernel matrix from
   ``kernel.matrix`` and its determinant from LAPACK.  ``det_discrete``
-  (Bessel) and ``charlier_expectation_det`` pass only their shift, first
-  site and search start, and the Bessel joint law reuses its truncation;
+  (Bessel) and ``charlier_expectation_det`` pass only the kernel's origin;
+  the shift comes from the functional.  The Bessel joint law reuses the
+  truncation search;
 * integral operators on a half line (t, infinity), discretized by a
   Nystrom rule after the rational substitution s = t + c (1 + u)/(1 - u)
   and symmetrized as det(I - W^{1/2} K W^{1/2}), with the kernel in its
@@ -111,12 +112,19 @@ def _truncation_point(kernel, shift: int, start: int, goal: float):
     raise ConvergenceError("diagonal tail did not fall below the tolerance")
 
 
-def _lattice_det(kernel, phi, shift: int, first: int, start: int, tol: float):
-    """det(I + K_phi) over the sites y >= first, K_phi(x, y) = K(x + shift,
-    y + shift) phi(y), truncated at the first X from ``start`` on where the
-    diagonal tail times sup|phi| drops below tol.  The neglected part is
-    certified by |det - det_trunc| <= tailTrace * exp(totalTrace + tailTrace).
+def _lattice_det(kernel, phi, origin: int, tol: float):
+    """det(I + K_phi) over the sites y >= 0, K_phi(x, y) = K(x + s, y + s)
+    phi(y) with s = origin - phi.shift, so that a particle at h stands for
+    the site h - s.  On the naturals the sites with y + s < 0 hold no
+    particle and are left out.  The lattice is truncated at the first X
+    where the diagonal tail times sup|phi| drops below tol, and the
+    neglected part is certified by
+    |det - det_trunc| <= tailTrace * exp(totalTrace + tailTrace).
     """
+    shift = origin - phi.shift
+    lowest = max(0, -shift)
+    first = lowest if kernel.domain == "naturals" else 0
+    start = lowest + int(math.ceil(2.0 * math.sqrt(kernel.alpha))) + 8
     norm = phi.bound + 1.0
     cutoff, tail = _truncation_point(kernel, shift, start, tol / max(norm, 1.0))
     points = [y for y in range(first, cutoff + 1) if phi.phi(y) != 0.0]
@@ -131,41 +139,30 @@ def _lattice_det(kernel, phi, shift: int, first: int, start: int, tol: float):
 
 
 def det_discrete(
-    kernel,
-    phi: MultiplicativeFunctional,
-    L: int = 0,
-    tol: float = 1e-10,
+    kernel, phi: MultiplicativeFunctional, tol: float = 1e-10
 ) -> FredholmResult:
-    """det(I + K_phi) on l2(N) with K_phi(x, y) = K(x - L, y - L) phi(y).
+    """det(I + K_phi) on l2(N) with K_phi(x, y) = K(x - L, y - L) phi(y),
+    where the shift L is ``phi.shift``.
 
     This is the expectation of prod_i f(lam_i + L - i) under the point
-    process with correlation kernel K.  The lattice is truncated at a
-    point X where the diagonal tail sum times sup|phi| drops below tol,
-    and the neglected part is certified by
+    process with correlation kernel K (particles lam_i - i).  The lattice
+    is truncated at a point X where the diagonal tail sum times sup|phi|
+    drops below tol, and the neglected part is certified by
     |det - det_trunc| <= tailTrace * exp(totalTrace + tailTrace).
     """
     if not isinstance(kernel, kernels.Bessel):
         raise TypeError("det_discrete expects the discrete Bessel kernel")
-    L = int(L)
-    start = L + int(math.ceil(2.0 * math.sqrt(kernel.alpha))) + 8
-    return _lattice_det(kernel, phi, -L, 0, start, tol)
+    return _lattice_det(kernel, phi, 0, tol)
 
 
 def charlier_expectation_det(
-    alpha: float,
-    m: int,
-    phi: MultiplicativeFunctional,
-    L: int = 0,
-    tol: float = 1e-10,
+    alpha: float, m: int, phi: MultiplicativeFunctional, tol: float = 1e-10
 ) -> FredholmResult:
-    """The same expectation computed with the rank-m Charlier kernel
-    shifted by m - L: entries delta + K(x + m - L, y + m - L) phi(y) over
-    y >= max(0, L - m)."""
-    L = int(L)
-    shift = m - L
-    first = max(0, -shift)
-    start = first + int(math.ceil(2.0 * math.sqrt(alpha))) + 8
-    return _lattice_det(kernels.CharlierKernel(m, alpha), phi, shift, first, start, tol)
+    """The same expectation over the m rows of the Charlier ensemble,
+    prod_{i <= m} f(lam_i + L - i) with L = ``phi.shift``, computed with the
+    rank-m Charlier kernel (particles lam_i + m - i): entries
+    delta + K(x + m - L, y + m - L) phi(y) over y >= max(0, L - m)."""
+    return _lattice_det(kernels.CharlierKernel(m, alpha), phi, m, tol)
 
 
 # ---------------------------------------------------------------------------

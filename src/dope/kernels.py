@@ -38,7 +38,6 @@ __all__ = [
     "AiryKernel",
     "SineKernel",
     "DiscreteSineKernel",
-    "eval_kernel",
     "bessel_series",
     "bessel_diag_tail",
     "airy_integral",
@@ -505,32 +504,23 @@ class DiscreteSineKernel:
         return math.sin(u * self.R) / (u * math.pi)
 
 
-def eval_kernel(kernel, x, y) -> float:
-    return kernel.eval(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Alternative representations
 
 
-def bessel_series(alpha: float, x: int, y: int, terms: int | None = None) -> float:
+def bessel_series(alpha: float, x: int, y: int) -> float:
     """Series route for the discrete Bessel kernel,
     B(x, y) = sum_{j>=1} J_{x+j}(2 sqrt(a)) J_{y+j}(2 sqrt(a)).
 
     The summand decays super-exponentially once the order passes 2 sqrt(a);
-    with ``terms`` unset the truncation point is chosen adaptively and the
-    tail estimate must drop below 1e-12.
+    the truncation point is chosen adaptively and the tail estimate must
+    drop below 1e-12.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     x = _require_int(x, "x")
     y = _require_int(y, "y")
     sa2 = 2.0 * math.sqrt(alpha)
-    if terms is not None:
-        return math.fsum(
-            specfun.bessel_j(x + j, alpha) * specfun.bessel_j(y + j, alpha)
-            for j in range(1, terms + 1)
-        )
     n_terms = max(16, int(math.ceil(sa2)) - min(x, y) + 32)
     cap = 8192
     while True:
@@ -572,10 +562,9 @@ def bessel_diag_tail(alpha: float, x: int) -> float:
     raise ConvergenceError("weighted tail sum did not converge")
 
 
-def airy_integral(x: float, y: float, upper: float = 60.0) -> float:
+def airy_integral(x: float, y: float) -> float:
     """Integral route for the Airy kernel: int_0^inf Ai(x+t) Ai(y+t) dt,
-    truncated where the integrand is far below double precision."""
-    import numpy as np
+    truncated at t = 60, where the integrand is far below double precision."""
 
     def integrand(t):
         vals = np.empty_like(t)
@@ -583,8 +572,7 @@ def airy_integral(x: float, y: float, upper: float = 60.0) -> float:
             vals[i] = specfun.airy_ai(x + ti) * specfun.airy_ai(y + ti)
         return vals
 
-    val = specfun._gauss_panels(integrand, 0.0, upper)
-    return float(val.real if isinstance(val, complex) else val)
+    return float(specfun._gauss_panels(integrand, 0.0, 60.0).real)
 
 
 # ---------------------------------------------------------------------------

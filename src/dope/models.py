@@ -23,6 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .ensembles import (
     Charlier,
+    Hahn,
     Krawtchouk,
     MultiplicativeFunctional,
     expectation,
@@ -66,14 +67,12 @@ class PercolationSpec:
 
     Vertical edges take time tau0; horizontal edges take the slow time kappa
     with probability q = 1 - p and the fast time lam with probability p.
-    `target` optionally records the lattice point (k, l) of interest.
     """
 
     tau0: Fraction | float
     kappa: Fraction | float
     lam: Fraction | float
     p: Fraction | float
-    target: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not self.tau0 > 0:
@@ -84,10 +83,6 @@ class PercolationSpec:
             raise ValueError("lam must be nonnegative")
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
-        if self.target is not None:
-            k, l = self.target
-            if k < 0 or l < 0:
-                raise ValueError("target must have nonnegative coordinates")
 
     @property
     def q(self):
@@ -500,10 +495,10 @@ def hexagon_slice_pmf(a: int, k: int, h: Sequence[int]) -> Fraction:
     """Law of the vertical-lozenge positions on slice k of the a,a,a hexagon.
 
     Under the uniform lozenge-tiling measure the k positions on slice k form
-    a Hahn-type ensemble on {0..a+k-1}: a squared Vandermonde times the site
-    weight C(h+a-k, h) C(2a-1-h, a+k-1-h).  The normalizer is computed by
-    exact summation over all k-subsets.  Out-of-range or repeated positions
-    get probability 0.  `h` may be given in any order.
+    the Hahn ensemble `Hahn.hexagon(a, k)` on {0..a+k-1}: a squared
+    Vandermonde times the site weight C(h+a-k, h) C(2a-1-h, a+k-1-h), with
+    the normalizer summed exactly over all k-subsets.  Out-of-range or
+    repeated positions get probability 0.  `h` may be given in any order.
     """
     if a < 1:
         raise ValueError("hexagon side must be at least 1")
@@ -519,15 +514,4 @@ def hexagon_slice_pmf(a: int, k: int, h: Sequence[int]) -> Fraction:
         return Fraction(1)
     if len(set(h)) != k or min(h) < 0 or max(h) > top:
         return Fraction(0)
-
-    def weight(config: Sequence[int]) -> Fraction:
-        out = Fraction(1)
-        for i in range(k):
-            for j in range(i + 1, k):
-                out *= (config[i] - config[j]) ** 2
-        for t in config:
-            out *= math.comb(t + a - k, t) * math.comb(2 * a - 1 - t, a + k - 1 - t)
-        return out
-
-    z = sum(weight(c) for c in itertools.combinations(range(top + 1), k))
-    return weight(sorted(h)) / z
+    return pmf_exact(Hahn.hexagon(a, k), sorted(h, reverse=True))

@@ -43,12 +43,12 @@ TRAPEZOID_CAP = 1 << 16
 _QUAD_TOL = 1e-12
 
 
-def _trapezoid_periodic_witherr(integrand, tol: float = _QUAD_TOL):
+def _trapezoid_periodic_witherr(integrand):
     """(1/2pi) * integral over [-pi, pi) of a smooth 2pi-periodic integrand,
     returned together with an absolute noise estimate.
 
     Uniform nodes, count doubling from TRAPEZOID_START until two successive
-    refinements agree within tol (spectral for periodic analytic data).
+    refinements agree within _QUAD_TOL (spectral for periodic analytic data).
     Cancellation between large samples leaves a roundoff floor proportional
     to the largest sample magnitude; agreement below that floor is accepted
     and the floor is reported as the attainable accuracy.
@@ -60,7 +60,7 @@ def _trapezoid_periodic_witherr(integrand, tol: float = _QUAD_TOL):
         samples = integrand(theta)
         val = complex(np.mean(samples))
         floor = 8e-16 * float(np.max(np.abs(samples)))
-        if prev is not None and abs(val - prev) <= max(tol * max(1.0, abs(val)), floor):
+        if prev is not None and abs(val - prev) <= max(_QUAD_TOL * max(1.0, abs(val)), floor):
             return val, max(floor, abs(val - prev))
         prev = val
         n *= 2
@@ -73,7 +73,7 @@ def _panel_rule(order: int):
     return x, w
 
 
-def _gauss_panels_witherr(integrand, a: float, b: float, tol: float = _QUAD_TOL):
+def _gauss_panels_witherr(integrand, a: float, b: float):
     """Integral over [a, b] by composite Gauss-Legendre with panel doubling,
     returned together with an absolute noise estimate."""
     x0, w0 = _panel_rule(32)
@@ -88,15 +88,15 @@ def _gauss_panels_witherr(integrand, a: float, b: float, tol: float = _QUAD_TOL)
         terms = weights * integrand(nodes)
         val = complex(np.sum(terms))
         floor = 8e-16 * float(np.sum(np.abs(terms)))
-        if prev is not None and abs(val - prev) <= max(tol * max(1.0, abs(val)), floor):
+        if prev is not None and abs(val - prev) <= max(_QUAD_TOL * max(1.0, abs(val)), floor):
             return val, max(floor, abs(val - prev))
         prev = val
         panels *= 2
     raise ConvergenceError("panel quadrature did not stabilize")
 
 
-def _gauss_panels(integrand, a: float, b: float, tol: float = _QUAD_TOL) -> complex:
-    return _gauss_panels_witherr(integrand, a, b, tol)[0]
+def _gauss_panels(integrand, a: float, b: float) -> complex:
+    return _gauss_panels_witherr(integrand, a, b)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """The benchmark's hooks into the package keep resolving.
 
 `bench/spans.py` wraps named attributes of the package for the traced run,
-and `bench/workloads.py` reads the `tol` defaults of the public determinant
-functions.  These tests import the span recorder as it is, without changing
-it, so a refactor that renames or bypasses a hooked attribute fails here
-instead of silently emptying a per-layer metric.
+`bench/workloads.py` reads the `tol` defaults of the public determinant
+functions, and `bench/run.py` reports the import times of the modules it
+names in IMPORTS.  These tests import the benchmark's modules as they are,
+without changing them, so a refactor that renames or bypasses a hooked
+attribute, or stops importing a timed module, fails here instead of
+silently emptying a per-layer metric.
 """
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +21,8 @@ import pytest
 from dope import fredholm, kernels, specfun
 from dope.ensembles import MultiplicativeFunctional
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +80,23 @@ def test_cached_special_functions_keep_their_cache(spans):
         fn = getattr(specfun, attr)
         assert callable(getattr(fn, "cache_info", None)), attr
         assert spans.CACHED[f"specfun.{attr}"] is fn
+
+
+def test_every_timed_import_is_imported_by_the_setup_code():
+    # the traced run takes the median import time of each module in
+    # IMPORTS, which has no value when the package stops importing one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        run = importlib.import_module("run")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", run.SETUP_CODE],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
+    for module in run.IMPORTS:
+        assert module in imported, module

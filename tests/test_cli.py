@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from dope import cli, fredholm
+from dope import cli, ensembles, fredholm
 
 
 def _run(capsys, argv):
@@ -73,7 +73,7 @@ def test_gap_bessel_table(capsys):
 
 def test_gap_non_convergence_exits_3(capsys, monkeypatch):
     # 3 is numerical non-convergence, 1 a failed verification
-    def unconverged(kernel, phi, L=0, tol=1e-10):
+    def unconverged(kernel, phi, tol=1e-10):
         return fredholm.FredholmResult(0.5, 10, 1.0, False)
 
     monkeypatch.setattr(fredholm, "det_discrete", unconverged)
@@ -101,6 +101,32 @@ def test_gap_word_exact(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert float(rows[1]["value"]) == 0.25
     assert float(rows[2]["value"]) == 1.0
+
+
+def test_gap_word_poissonized_value(capsys):
+    code, out, err = _run(
+        capsys, ["gap", "--model", "word", "--M", "3", "--alpha", "40", "--n", "20"]
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert float(rows[0]["value"]) == pytest.approx(0.630071151294, abs=1e-8)
+
+
+def test_gap_word_sum_past_its_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(ensembles, "_SHELL_CAP", 3)
+    code, out, err = _run(
+        capsys, ["gap", "--model", "word", "--M", "3", "--alpha", "40", "--n", "20"]
+    )
+    assert code == 3
+    assert "did not converge" in err
+
+
+def test_gap_has_no_airy_kernel(capsys):
+    # F(t) tables come from `dope tw --t`
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gap", "--kernel", "airy", "--n", "0"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'airy'" in capsys.readouterr().err
 
 
 def test_gap_requires_a_mode(capsys):

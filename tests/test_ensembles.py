@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dope import ensembles
 from dope.ensembles import (
     Charlier,
     Hahn,
@@ -27,6 +28,7 @@ from dope.ensembles import (
 )
 from dope.partitions import Partition, enumerate_partitions, particles
 from dope.rsk import matrix_rsk_shape, rsk_shape
+from dope.specfun import ConvergenceError
 
 ONE = MultiplicativeFunctional(lambda s: 1.0)
 
@@ -188,10 +190,34 @@ def test_meixner_matches_truncated_geometric_matrix_enumeration():
         Charlier(m=3, alpha=2.0),
         Krawtchouk(n=2, k=5, p=Fraction(1, 2)),
         Hahn.hexagon(3, 2),
+        # the first shells carry no mass here; a sum that stopped on them
+        # gave 5.5e-35 and 6.1e-29
+        Charlier(m=2, alpha=100.0),
+        Meixner(m=2, n=60, q=0.5),
     ],
 )
 def test_expectation_of_one_is_one(spec):
     assert expectation(spec, ONE, tol=1e-10) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_expectation_caps_raise_convergence_error(monkeypatch):
+    monkeypatch.setattr(ensembles, "_SHELL_CAP", 3)
+    with pytest.raises(ConvergenceError):
+        expectation(Charlier(m=2, alpha=10.0), ONE)
+    monkeypatch.setattr(ensembles, "_POISSON_SIZE_CAP", 3)
+    with pytest.raises(ConvergenceError):
+        expectation(PoissonizedPlancherel(10.0), ONE)
+
+
+def test_charlier_normalization_with_many_particles():
+    spec = Charlier(m=30, alpha=5.0)
+    z = normalization(spec)
+    assert math.isfinite(float(z))
+    # log Z = sum_{j<30} log j! + C(30, 2) log(alpha/m)
+    log_z = math.fsum(math.lgamma(j + 1) for j in range(30)) + 435 * math.log(5.0 / 30)
+    assert math.log(z) == pytest.approx(log_z, rel=1e-12)
+    for lam in (Partition(()), Partition((2, 1)), Partition((1,) * 6)):
+        assert pmf_particles(spec, particles(lam, 30)) == pytest.approx(pmf(spec, lam), rel=1e-11)
 
 
 def test_indicator_gap_expectation_is_cumulative_largest_part():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dope.ensembles import (
+    Charlier,
     MultiplicativeFunctional,
     PoissonizedPlancherel,
     expectation,
@@ -82,6 +83,25 @@ def test_general_multiplicative_functional_matches_direct_sum():
     assert det.value == pytest.approx(direct, abs=1e-9)
     # phi is supported on the single site 1, so the matrix is 1 x 1
     assert det.truncation_size == 1
+
+
+@pytest.mark.parametrize("n,shift", [(1, 2), (2, 1), (3, 3)])
+def test_det_discrete_honours_the_functional_shift(n, shift):
+    # E prod f(lam_i + shift - i); at (1, 2) the first factor is always 0
+    g = MultiplicativeFunctional.indicator_gap(n, shift=shift)
+    direct = expectation(PoissonizedPlancherel(1.0), g, tol=1e-12)
+    det = det_discrete(Bessel(1.0), g)
+    assert det.converged
+    assert det.value == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("n,shift", [(2, 1), (3, 2)])
+def test_charlier_det_honours_the_functional_shift(n, shift):
+    g = MultiplicativeFunctional.indicator_gap(n, shift=shift)
+    direct = expectation(Charlier(3, 1.0), g, tol=1e-12)
+    det = charlier_expectation_det(1.0, 3, g)
+    assert det.converged
+    assert det.value == pytest.approx(direct, abs=1e-9)
 
 
 def test_det_discrete_requires_the_bessel_kernel():

@@ -19,7 +19,6 @@ from dope.kernels import (
     bessel_series,
     bulk_scaled,
     edge_coordinates,
-    eval_kernel,
     intermediate_scaled,
     round_half_up,
     scaled_edge,
@@ -454,8 +453,3 @@ def test_intermediate_scaling_approaches_continuous_sine():
         intermediate_scaled(1e4, 0.6, 0.0, 0.0)
     with pytest.raises(ValueError):
         intermediate_scaled(1e4, 1.0 / 6.0, 0.0, 0.0)
-
-
-def test_eval_kernel_dispatch():
-    assert eval_kernel(SineKernel(), 1.0, 1.0) == 1.0
-    assert eval_kernel(Bessel(1.0), 0, 0) == Bessel(1.0).eval(0, 0)

@@ -508,12 +508,13 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dope",
+        allow_abbrev=False,
         description="Discrete orthogonal polynomial ensembles: tables, samples, verification.",
     )
     parser.add_argument("--version", action="version", version=f"dope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gap = sub.add_parser("gap", help="gap-probability tables (CSV)")
+    gap = sub.add_parser("gap", allow_abbrev=False, help="gap-probability tables (CSV)")
     gap.add_argument("--kernel", choices=("bessel",))
     gap.add_argument("--model", choices=("percolation", "word"))
     gap.add_argument("--alpha", type=float, help="kernel intensity or Poisson mean")
@@ -528,14 +529,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--out", help="output CSV path (manifest written alongside)")
     gap.set_defaults(func=_cmd_gap)
 
-    tw = sub.add_parser("tw", help="Tracy-Widom distribution tables (CSV)")
+    tw = sub.add_parser("tw", allow_abbrev=False, help="Tracy-Widom distribution tables (CSV)")
     tw.add_argument("--t", help="grid of arguments, e.g. -6..4:0.5")
     tw.add_argument("--joint", help="thresholds t_1,...,t_k for the joint row law")
     tw.add_argument("--tol", type=float, default=1e-8)
     tw.add_argument("--out")
     tw.set_defaults(func=_cmd_tw)
 
-    smp = sub.add_parser("sample", help="Monte Carlo or exhaustive empirical laws (JSON)")
+    smp = sub.add_parser(
+        "sample", allow_abbrev=False, help="Monte Carlo or exhaustive empirical laws (JSON)"
+    )
     smp.add_argument(
         "--model",
         required=True,
@@ -557,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--out")
     smp.set_defaults(func=_cmd_sample)
 
-    ver = sub.add_parser("verify", help="run a named exact-oracle suite")
+    ver = sub.add_parser("verify", allow_abbrev=False, help="run a named exact-oracle suite")
     ver.add_argument("suite", help=f"one of: {', '.join(_SUITES)}")
     ver.set_defaults(func=_cmd_verify)
 

@@ -158,11 +158,16 @@ def det_discrete(
 def charlier_expectation_det(
     alpha: float, m: int, phi: MultiplicativeFunctional, tol: float = 1e-10
 ) -> FredholmResult:
-    """The same expectation over the m rows of the Charlier ensemble,
-    prod_{i <= m} f(lam_i + L - i) with L = ``phi.shift``, computed with the
+    """The same expectation over the Charlier ensemble with m rows,
+    prod_i f(lam_i + L - i) with L = ``phi.shift``, computed with the
     rank-m Charlier kernel (particles lam_i + m - i): entries
-    delta + K(x + m - L, y + m - L) phi(y) over y >= max(0, L - m)."""
-    return _lattice_det(kernels.CharlierKernel(m, alpha), phi, m, tol)
+    delta + K(x + m - L, y + m - L) phi(y) over y >= max(0, L - m).  The
+    rows m < i <= L are empty, and their factors f(L - i) multiply the
+    determinant and its certificate."""
+    det = _lattice_det(kernels.CharlierKernel(m, alpha), phi, m, tol)
+    empty = math.prod(phi.f(phi.shift - i) for i in range(m + 1, phi.shift + 1))
+    bound = abs(empty) * det.tail_estimate
+    return FredholmResult(empty * det.value, det.truncation_size, bound, bound < tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,16 @@ pair (u(x), v(x)) of weighted functions, a constant and a diagonal
 formula, and one shared quotient const (u(x) v(y) - v(x) u(y)) / (x - y)
 gives both ``eval(x, y)`` and ``matrix(points)``, the whole kernel matrix
 on a point list, entry for entry equal to ``eval``.  Diagonal values use
-analytically differentiated forms or a projection sum (never a numeric
-limit of the quotient, which is 0/0 there).  The lattice kernels also give
-``diag_tail(x)``, the trace sum_{y > x} K(y, y) that certifies a truncated
-Fredholm determinant.  The Charlier and Meixner kernels share one rank-m
-projection base, with its stable dual route below the band.
-The discrete Bessel kernel additionally has a series representation, the
-Charlier kernel projection and contour routes, and the Airy kernel an
-integral representation; the pairs of routes are kept separate so they can
-be cross-checked.
+analytically differentiated forms, a projection sum or a sum of squares
+(never a numeric limit of the quotient, which is 0/0 there).  The lattice
+kernels also give ``diag_tail(x)``, the trace sum_{y > x} K(y, y) that
+certifies a truncated Fredholm determinant.  The Charlier and Meixner
+kernels share one rank-m projection base, with its stable dual route below
+the band.
+The discrete Bessel kernel additionally has a series representation and
+an order-derivative diagonal, the Charlier kernel projection and contour
+routes, and the Airy kernel an integral representation; the pairs of
+routes are kept separate so they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -162,8 +163,11 @@ class Bessel(_ChristoffelDarboux):
 
     Off the diagonal,
         B(x, y) = sqrt(a) [J_x J_{y+1} - J_{x+1} J_y] / (x - y)
-    with J_n = J_n(2 sqrt(a)); on the diagonal the order-derivative of J
-    replaces the quotient.
+    with J_n = J_n(2 sqrt(a)).  On the diagonal the series
+    B(x, x) = sum_{s>=1} J_{x+s}^2 is read from one vector of J over the
+    integer orders, summed once per kernel.  The limit of the quotient, by
+    the order derivative of J (``specfun.bessel_j_orderderiv``), is the
+    cross-check route.
     """
 
     alpha: float
@@ -180,11 +184,23 @@ class Bessel(_ChristoffelDarboux):
     def _pair(self, x: int):
         return specfun.bessel_j(x, self.alpha), specfun.bessel_j(x + 1, self.alpha)
 
+    @cached_property
+    def _diagonal_tails(self) -> np.ndarray:
+        """sum_{k >= n} J_k^2 for the orders n = 1 - N, ..., N - 1, then 0.
+
+        The orders 0, ..., N - 1 of ``specfun.bessel_j_orders`` run until
+        the square of J underflows, so every representable term is in the
+        sums; J_{-k}^2 = J_k^2 gives the negative orders.  Summed from the
+        top down, the small terms go in first.
+        """
+        squares = specfun.bessel_j_orders(self.alpha) ** 2
+        two_sided = np.concatenate([squares[:0:-1], squares])
+        return np.append(np.cumsum(two_sided[::-1])[::-1], 0.0)
+
     def _diagonal(self, x: int) -> float:
-        jx, jx1 = self._pair(x)
-        lx = specfun.bessel_j_orderderiv(x, self.alpha)
-        lx1 = specfun.bessel_j_orderderiv(x + 1, self.alpha)
-        return self._cd_const * (lx * jx1 - jx * lx1)
+        # B(x, x) = sum_{k >= x + 1} J_k^2 sits at index x + N
+        tails = self._diagonal_tails
+        return float(tails[min(max(x + len(tails) // 2, 0), len(tails) - 1)])
 
     def diag_tail(self, x: int) -> float:
         """sum_{y > x} B(y, y)."""

@@ -1,9 +1,11 @@
 """Special-function evaluations living behind the correlation kernels.
 
-The Airy function and integer-order Bessel values J_n(2 sqrt(alpha)) come
-from `scipy.special`; the order-derivative of J that the Bessel kernel's
-diagonal needs comes from its contour and real-line integral
-representation, evaluated by panel quadrature; Hermite functions come from
+The Airy function and integer-order Bessel values J_n(2 sqrt(alpha)), one
+order at a time or as one vector over all orders, come from
+`scipy.special`; the order-derivative of J comes from its contour and
+real-line integral representation, evaluated by panel quadrature, and is
+the cross-check route for the Bessel kernel's diagonal, which the kernel
+itself sums from J alone; Hermite functions come from
 their three-term recurrence; Charlier auxiliaries are the contour and cut
 integrals the kernel's integral form is assembled from.
 """
@@ -109,6 +111,22 @@ def bessel_j(x: int, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return float(jv(x, 2.0 * math.sqrt(alpha)))
+
+
+def bessel_j_orders(alpha: float) -> np.ndarray:
+    """J_n(2 sqrt(alpha)) for n = 0, 1, ..., N - 1, as one `jv` vector.
+
+    N runs past the turning point 2 sqrt(alpha), in steps of 64, until the
+    square of J_{N-1} underflows to 0, so no order whose square is
+    representable is left out.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    z = 2.0 * math.sqrt(alpha)
+    j = jv(np.arange(int(z) + 64), z)
+    while j[-1] ** 2 > 0.0:
+        j = np.concatenate([j, jv(np.arange(len(j), len(j) + 64), z)])
+    return j
 
 
 @lru_cache(maxsize=1 << 16)

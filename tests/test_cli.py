@@ -129,6 +129,17 @@ def test_gap_has_no_airy_kernel(capsys):
     assert "invalid choice: 'airy'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--to", "1e-6"), ("--t", "1")])
+def test_gap_rejects_option_prefixes(capsys, flag, value):
+    # --to is no --tol, and --t is no prefix of --tau0 or --tol
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gap", "--kernel", "bessel", "--alpha", "1", "--n", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+    assert "ambiguous" not in err
+
+
 def test_gap_requires_a_mode(capsys):
     code, out, err = _run(capsys, ["gap", "--alpha", "1", "--n", "0..2"])
     assert code == 2

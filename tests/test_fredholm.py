@@ -104,6 +104,16 @@ def test_charlier_det_honours_the_functional_shift(n, shift):
     assert det.value == pytest.approx(direct, abs=1e-9)
 
 
+def test_charlier_det_includes_the_empty_rows():
+    # shift 5 > m = 3: rows 4 and 5 are empty and give f(1) f(0) = 1/2
+    g = MultiplicativeFunctional(lambda s: 0.5 if s == 0 else 1.0, shift=5)
+    direct = expectation(Charlier(3, 1.0), g, tol=1e-12)
+    det = charlier_expectation_det(1.0, 3, g)
+    assert direct == pytest.approx(0.5, abs=1e-9)
+    assert det.converged
+    assert det.value == pytest.approx(direct, abs=1e-9)
+
+
 def test_det_discrete_requires_the_bessel_kernel():
     with pytest.raises(TypeError):
         det_discrete(CharlierKernel(3, 1.0), MultiplicativeFunctional.indicator_gap(1))

@@ -23,7 +23,9 @@ from dope.kernels import (
     round_half_up,
     scaled_edge,
 )
-from dope.specfun import airy_ai, bessel_j
+from dope.ensembles import MultiplicativeFunctional
+from dope.fredholm import IntervalSystem, det_discrete, joint_rows
+from dope.specfun import airy_ai, bessel_j, bessel_j_orderderiv
 
 
 def _moment_projection_oracle(weights, m, x, y, dps=60):
@@ -243,7 +245,7 @@ def test_bessel_symmetry_exact():
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
 def test_bessel_trace_identity(alpha):
     # sum_{x>=0} B(x, x) telescopes to sum_{n>=1} n J_n(2 sqrt(alpha))^2;
-    # left side via order-derivative diagonals, right side via the series
+    # left side via the kernel's diagonals, right side via the series
     cap = int(math.ceil(2.0 * math.sqrt(alpha))) + 25
     lhs = math.fsum(Bessel(alpha).eval(x, x) for x in range(cap))
     rhs = math.fsum(n * bessel_j(n, alpha) ** 2 for n in range(1, cap + 2))
@@ -261,6 +263,45 @@ def test_bessel_diagonal_values_lie_in_unit_interval():
     kernel = Bessel(4.0)
     for x in range(-6, 15):
         assert -1e-12 <= kernel.eval(x, x) <= 1.0 + 1e-12
+
+
+BESSEL_ALPHAS = [1.0, 37.5, 400.0, 3000.0, 1e4]
+
+
+@pytest.mark.parametrize("alpha", BESSEL_ALPHAS)
+def test_bessel_diagonal_matches_order_derivative_route(alpha):
+    # sqrt(a) (L_x J_{x+1} - J_x L_{x+1}), L = d/d nu J_nu, is the limit of
+    # the Christoffel-Darboux quotient; the kernel sums squares instead
+    kernel = Bessel(alpha)
+    sa = math.sqrt(alpha)
+    for x in range(-5, int(2.0 * sa) + 61):
+        deriv = bessel_j_orderderiv(x, alpha) * bessel_j(x + 1, alpha)
+        deriv -= bessel_j(x, alpha) * bessel_j_orderderiv(x + 1, alpha)
+        assert abs(kernel.eval(x, x) - sa * deriv) <= 1e-13, x
+
+
+@pytest.mark.parametrize("alpha", BESSEL_ALPHAS)
+def test_bessel_diagonal_far_tail_relative_accuracy(alpha):
+    kernel = Bessel(alpha)
+    edge = int(2.0 * math.sqrt(alpha))
+    with mp.workdps(30):
+        z = 2 * mp.sqrt(alpha)
+        for x in (edge + 20, edge + 60, edge + 120, edge + 200):
+            ref = mp.fsum(mp.besselj(n, z) ** 2 for n in range(x + 1, x + 200))
+            if ref < mp.mpf("1e-300"):
+                continue
+            assert abs(kernel.eval(x, x) / ref - 1) < 1e-12, x
+    # past the order range: sum_k J_k^2 = 1 over all orders, 0 above them
+    assert kernel.eval(-10**6, -10**6) == pytest.approx(1.0, abs=1e-13)
+    assert kernel.eval(10**6, 10**6) == 0.0
+
+
+def test_bessel_lattice_determinants_skip_the_order_derivative():
+    kernel = Bessel(23.7)
+    before = bessel_j_orderderiv.cache_info()
+    det_discrete(kernel, MultiplicativeFunctional.indicator_gap(9))
+    joint_rows(kernel, IntervalSystem([11.0, 8.0]))
+    assert bessel_j_orderderiv.cache_info() == before
 
 
 def test_bessel_rejects_bad_arguments():

@@ -17,6 +17,7 @@ from dope.specfun import (
     airy_ai_prime,
     bessel_j,
     bessel_j_orderderiv,
+    bessel_j_orders,
     charlier_contour_D,
     charlier_cut_F,
     charlier_radius,
@@ -51,6 +52,15 @@ def test_bessel_deep_tail_keeps_relative_accuracy():
     val = bessel_j(40, 1.0)
     assert ref != 0.0
     assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 400.0, 1e4])
+def test_bessel_orders_vector_runs_to_underflow(alpha):
+    j = bessel_j_orders(alpha)
+    assert j[-1] ** 2 == 0.0 and j[-65] ** 2 > 0.0
+    assert len(j) > 2.0 * math.sqrt(alpha)
+    for x in range(0, len(j), 7):
+        assert j[x] == bessel_j(x, alpha)
 
 
 def test_bessel_rejects_nonpositive_alpha():

@@ -117,9 +117,11 @@ def _lattice_det(kernel, phi, origin: int, tol: float):
     phi(y) with s = origin - phi.shift, so that a particle at h stands for
     the site h - s.  On the naturals the sites with y + s < 0 hold no
     particle and are left out.  The lattice is truncated at the first X
-    where the diagonal tail times sup|phi| drops below tol, and the
-    neglected part is certified by
-    |det - det_trunc| <= tailTrace * exp(totalTrace + tailTrace).
+    where tailTrace, the diagonal tail times 1 + sup|f|, drops below tol.
+    The process restricted to h <= X has the restricted kernel, so det_trunc
+    is E prod_{h <= X} f(h): when sup|f| <= 1 it differs from det only if a
+    particle lies above X, by at most 1 + sup|f|, and tailTrace bounds the
+    error; otherwise tailTrace * exp(totalTrace + tailTrace) does.
     """
     shift = origin - phi.shift
     lowest = max(0, -shift)
@@ -131,8 +133,10 @@ def _lattice_det(kernel, phi, origin: int, tol: float):
     weights = np.array([phi.phi(y) for y in points], dtype=float)
     kmat = kernel.matrix([y + shift for y in points])
     tail_trace = tail * norm
-    total_trace = math.fsum(abs(k * w) for k, w in zip(np.diag(kmat), weights)) + tail_trace
-    bound = tail_trace * math.exp(total_trace + tail_trace)
+    bound = tail_trace
+    if phi.bound > 1.0:
+        total_trace = math.fsum(abs(k * w) for k, w in zip(np.diag(kmat), weights)) + tail_trace
+        bound *= math.exp(total_trace + tail_trace)
     # with no points the matrix is 0 x 0 and its determinant 1
     value = float(np.linalg.det(np.eye(len(points)) + kmat * weights))
     return FredholmResult(value, len(points), bound, bound < tol)
@@ -146,9 +150,9 @@ def det_discrete(
 
     This is the expectation of prod_i f(lam_i + L - i) under the point
     process with correlation kernel K (particles lam_i - i).  The lattice
-    is truncated at a point X where the diagonal tail sum times sup|phi|
-    drops below tol, and the neglected part is certified by
-    |det - det_trunc| <= tailTrace * exp(totalTrace + tailTrace).
+    is truncated where tailTrace, the diagonal tail sum times 1 + sup|f|,
+    drops below tol; tailTrace certifies the neglected part when
+    sup|f| <= 1, and tailTrace * exp(totalTrace + tailTrace) otherwise.
     """
     if not isinstance(kernel, kernels.Bessel):
         raise TypeError("det_discrete expects the discrete Bessel kernel")

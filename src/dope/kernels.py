@@ -13,17 +13,19 @@ kernels also give ``diag_tail(x)``, the trace sum_{y > x} K(y, y) that
 certifies a truncated Fredholm determinant.  The Charlier and Meixner
 kernels share one rank-m projection base, with its stable dual route below
 the band.
-The discrete Bessel kernel additionally has a series representation and
-an order-derivative diagonal, the Charlier kernel projection and contour
-routes, and the Airy kernel an integral representation; the pairs of
-routes are kept separate so they can be cross-checked.
+The discrete Bessel kernel reads its pair, its diagonal, its trace tail
+and its series from one vector of J over the integer orders per alpha;
+the order-derivative diagonal stays as its cross-check.  The Charlier
+kernel has projection and contour routes, and the Airy kernel an integral
+representation; the pairs of routes are kept separate so they can be
+cross-checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,17 +159,36 @@ class _ChristoffelDarboux:
 # Kernel descriptors
 
 
+@lru_cache(maxsize=16)
+def _bessel_orders(alpha: float):
+    """(lo, J, T1, T2), read-only: J_n = J_n(2 sqrt(alpha)) at the orders
+    n = lo, ..., -lo, then one order with J = 0, and the tails
+    T1(n) = sum_{k >= n} J_k^2 and T2(n) = sum_{k >= n} T1(k); entry i is
+    order lo + i.
+
+    The orders are those of ``specfun.bessel_j_orders``, every order whose
+    square of J is representable, mirrored by J_{-k} = (-1)^k J_k.  Summed
+    from the top down, the small terms go in first.
+    """
+    j = specfun.bessel_j_orders(alpha)
+    two_sided = np.concatenate([(-1.0) ** np.arange(len(j) - 1, 0, -1) * j[:0:-1], j, [0.0]])
+    t1 = np.cumsum((two_sided**2)[::-1])[::-1]
+    t2 = np.cumsum(t1[::-1])[::-1]
+    for arr in (two_sided, t1, t2):
+        arr.flags.writeable = False
+    return 1 - len(j), two_sided, t1, t2
+
+
 @dataclass(frozen=True)
 class Bessel(_ChristoffelDarboux):
     """Discrete Bessel kernel on the integer lattice, parameter alpha > 0.
 
     Off the diagonal,
         B(x, y) = sqrt(a) [J_x J_{y+1} - J_{x+1} J_y] / (x - y)
-    with J_n = J_n(2 sqrt(a)).  On the diagonal the series
-    B(x, x) = sum_{s>=1} J_{x+s}^2 is read from one vector of J over the
-    integer orders, summed once per kernel.  The limit of the quotient, by
-    the order derivative of J (``specfun.bessel_j_orderderiv``), is the
-    cross-check route.
+    with J_n = J_n(2 sqrt(a)), and B(x, x) = sum_{s>=1} J_{x+s}^2.  Both,
+    and ``diag_tail``, are read from one J vector per alpha and its summed
+    squares; orders past it hold J = 0.  The limit of the quotient, by the
+    order derivative of J, is the diagonal's cross-check route.
     """
 
     alpha: float
@@ -182,25 +203,13 @@ class Bessel(_ChristoffelDarboux):
         return math.sqrt(self.alpha)
 
     def _pair(self, x: int):
-        return specfun.bessel_j(x, self.alpha), specfun.bessel_j(x + 1, self.alpha)
-
-    @cached_property
-    def _diagonal_tails(self) -> np.ndarray:
-        """sum_{k >= n} J_k^2 for the orders n = 1 - N, ..., N - 1, then 0.
-
-        The orders 0, ..., N - 1 of ``specfun.bessel_j_orders`` run until
-        the square of J underflows, so every representable term is in the
-        sums; J_{-k}^2 = J_k^2 gives the negative orders.  Summed from the
-        top down, the small terms go in first.
-        """
-        squares = specfun.bessel_j_orders(self.alpha) ** 2
-        two_sided = np.concatenate([squares[:0:-1], squares])
-        return np.append(np.cumsum(two_sided[::-1])[::-1], 0.0)
+        lo, j, _, _ = _bessel_orders(self.alpha)
+        return tuple(float(j[i]) if 0 <= i < len(j) else 0.0 for i in (x - lo, x + 1 - lo))
 
     def _diagonal(self, x: int) -> float:
-        # B(x, x) = sum_{k >= x + 1} J_k^2 sits at index x + N
-        tails = self._diagonal_tails
-        return float(tails[min(max(x + len(tails) // 2, 0), len(tails) - 1)])
+        # T1 at order x + 1; below the orders it is the sum of all squares
+        lo, _, t1, _ = _bessel_orders(self.alpha)
+        return float(t1[min(max(x + 1 - lo, 0), len(t1) - 1)])
 
     def diag_tail(self, x: int) -> float:
         """sum_{y > x} B(y, y)."""
@@ -528,54 +537,32 @@ def bessel_series(alpha: float, x: int, y: int) -> float:
     """Series route for the discrete Bessel kernel,
     B(x, y) = sum_{j>=1} J_{x+j}(2 sqrt(a)) J_{y+j}(2 sqrt(a)).
 
-    The summand decays super-exponentially once the order passes 2 sqrt(a);
-    the truncation point is chosen adaptively and the tail estimate must
-    drop below 1e-12.
+    The terms run over the orders of the kernel's J vector, every order
+    whose square of J is representable; past them |J| < 1e-161, and so is
+    each term left out.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
     x = _require_int(x, "x")
     y = _require_int(y, "y")
-    sa2 = 2.0 * math.sqrt(alpha)
-    n_terms = max(16, int(math.ceil(sa2)) - min(x, y) + 32)
-    cap = 8192
-    while True:
-        tail = abs(
-            specfun.bessel_j(x + n_terms + 1, alpha)
-            * specfun.bessel_j(y + n_terms + 1, alpha)
-        )
-        if 3.0 * tail < 1e-12:
-            break
-        if n_terms >= cap:
-            raise ConvergenceError("series tail did not fall below 1e-12")
-        n_terms = min(cap, 2 * n_terms)
-    return math.fsum(
-        specfun.bessel_j(x + j, alpha) * specfun.bessel_j(y + j, alpha)
-        for j in range(1, n_terms + 1)
-    )
+    lo, j, _, _ = _bessel_orders(alpha)
+    # the terms s = first, ..., first + count - 1 have both orders in range
+    first = max(1, lo - x, lo - y)
+    count = max(0, len(j) + lo - max(x, y) - first)
+    ix, iy = x + first - lo, y + first - lo
+    return math.fsum(j[ix:ix + count] * j[iy:iy + count])
 
 
 def bessel_diag_tail(alpha: float, x: int) -> float:
-    """sum_{j>=1} B(x+j, x+j) evaluated as sum_{n>=1} n J_{x+n+1}^2, the
-    weighted single sum obtained by exchanging the two summations."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    total = 0.0
-    n = 1
-    cap = 16384
-    quiet = 0
-    while n < cap:
-        j = specfun.bessel_j(x + n + 1, alpha)
-        term = n * j * j
-        total += term
-        if term < 1e-15 * max(1.0, total) and x + n > 2.0 * math.sqrt(alpha):
-            quiet += 1
-            if quiet >= 4:
-                return total
-        else:
-            quiet = 0
-        n += 1
-    raise ConvergenceError("weighted tail sum did not converge")
+    """sum_{j>=1} B(x+j, x+j) = sum_{n>=1} n J_{x+n+1}^2, the weighted single
+    sum obtained by exchanging the two summations: T2 at order x + 2.
+
+    Below the lowest order lo, where every T1 is T1(lo), T2 goes on
+    linearly as T2(lo) + (lo - x - 2) T1(lo).
+    """
+    lo, _, t1, t2 = _bessel_orders(alpha)
+    i = x + 2 - lo
+    if i < 0:
+        return float(t2[0] - i * t1[0])
+    return float(t2[i]) if i < len(t2) else 0.0
 
 
 def airy_integral(x: float, y: float) -> float:

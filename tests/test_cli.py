@@ -71,6 +71,16 @@ def test_gap_bessel_table(capsys):
     assert values == sorted(values)
 
 
+def test_gap_deep_tail_table_is_certified(capsys):
+    # values down to 3e-49, each certified by the tail trace
+    argv = ["gap", "--kernel", "bessel", "--alpha", "10000", "--n", "150..170:5"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["threshold"] for r in rows] == ["150", "155", "160", "165", "170"]
+    assert all(float(r["tail_estimate"]) < 1e-8 for r in rows)
+
+
 def test_gap_non_convergence_exits_3(capsys, monkeypatch):
     # 3 is numerical non-convergence, 1 a failed verification
     def unconverged(kernel, phi, tol=1e-10):

@@ -127,6 +127,44 @@ def test_result_certificate_fields():
     assert r.converged
 
 
+def test_gap_certificate_is_the_tail_trace():
+    # sup|f| <= 1: the certificate is tailTrace = 2 diag_tail(X), which the
+    # search has pushed below tol, also where the value itself is tiny
+    kernel = Bessel(1e4)
+    r = det_discrete(kernel, MultiplicativeFunctional.indicator_gap(160))
+    assert r.value == pytest.approx(2.56e-25, rel=1e-2)
+    assert r.converged
+    cutoff = 160 + r.truncation_size - 1
+    assert r.tail_estimate == 2.0 * kernel.diag_tail(cutoff) < 1e-10
+    assert charlier_expectation_det(100, 15, MultiplicativeFunctional.indicator_gap(12)).converged
+
+
+def test_certificate_above_unit_bound_stays_exponential():
+    # sup|f| = 2 > 1: tailTrace exp(totalTrace + tailTrace)
+    kernel = Bessel(4.0)
+    g = MultiplicativeFunctional(lambda s: 2.0 if s >= 0 else 1.0, bound=2.0)
+    r = det_discrete(kernel, g, tol=1e-8)
+    cutoff = r.truncation_size - 1
+    tail_trace = 3.0 * kernel.diag_tail(cutoff)
+    total = math.fsum(kernel.eval(y, y) for y in range(cutoff + 1)) + tail_trace
+    assert r.tail_estimate == pytest.approx(tail_trace * math.exp(total + tail_trace), rel=1e-12)
+    assert r.tail_estimate > 2.0 * tail_trace
+    assert r.converged
+
+
+@pytest.mark.parametrize("alpha", [37.5, 400.0])
+def test_truncated_gap_is_within_twice_the_tail(alpha):
+    # |det_X - det| <= 2 diag_tail(X) for windows [n, X] cut by hand
+    kernel = Bessel(alpha)
+    n = round(2.0 * math.sqrt(alpha))
+    full = det_discrete(kernel, MultiplicativeFunctional.indicator_gap(n))
+    for cutoff in range(n, n + 40, 3):
+        sites = list(range(n, cutoff + 1))
+        det_x = float(np.linalg.det(np.eye(len(sites)) - kernel.matrix(sites)))
+        gap = abs(det_x - full.value)
+        assert gap <= 2.0 * kernel.diag_tail(cutoff) + full.tail_estimate, cutoff
+
+
 @pytest.mark.parametrize("m,alpha,t", [(3, 1.0, 2), (2, 0.7, 1), (4, 2.0, 3)])
 def test_charlier_determinant_matches_direct_word_law(m, alpha, t):
     det = charlier_expectation_det(alpha, m, MultiplicativeFunctional.indicator_gap(t))

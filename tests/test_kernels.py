@@ -25,7 +25,7 @@ from dope.kernels import (
 )
 from dope.ensembles import MultiplicativeFunctional
 from dope.fredholm import IntervalSystem, det_discrete, joint_rows
-from dope.specfun import airy_ai, bessel_j, bessel_j_orderderiv
+from dope.specfun import airy_ai, bessel_j, bessel_j_orderderiv, bessel_j_orders
 
 
 def _moment_projection_oracle(weights, m, x, y, dps=60):
@@ -296,12 +296,44 @@ def test_bessel_diagonal_far_tail_relative_accuracy(alpha):
     assert kernel.eval(10**6, 10**6) == 0.0
 
 
+@pytest.mark.parametrize("alpha", BESSEL_ALPHAS)
+def test_bessel_diag_tail_relative_accuracy(alpha):
+    # sum_{n>=1} n J_{x+n+1}^2 in 30-digit mpmath, from below the lowest
+    # order of the J vector (where the tail goes on linearly) to the far tail
+    top = len(bessel_j_orders(alpha))
+    edge = int(2.0 * math.sqrt(alpha))
+    with mp.workdps(30):
+        z = 2 * mp.sqrt(alpha)
+        squares = [mp.besselj(k, z) ** 2 for k in range(top + 8)]
+
+        def square(k):
+            return squares[abs(k)] if abs(k) < len(squares) else 0
+
+        for x in (-top - 10, -40, -5, 0, edge, edge + 60):
+            ref = mp.fsum(n * square(x + n + 1) for n in range(1, len(squares) - x))
+            if ref < mp.mpf("1e-300"):
+                continue
+            assert abs(bessel_diag_tail(alpha, x) / ref - 1) < 1e-12, x
+
+
+@pytest.mark.parametrize("alpha", [0.25, 4.0] + BESSEL_ALPHAS)
+def test_bessel_series_matches_scalar_products(alpha):
+    # the scalar route: an fsum of bessel_j products far past the edge
+    edge = int(2.0 * math.sqrt(alpha))
+    for x, y in [(-10, -10), (-7, 3), (0, 0), (2, edge), (edge, edge + 5),
+                 (edge + 30, edge + 31), (-edge - 20, edge)]:
+        count = edge - min(x, y) + 200
+        ref = math.fsum(bessel_j(x + s, alpha) * bessel_j(y + s, alpha) for s in range(1, count))
+        assert abs(bessel_series(alpha, x, y) - ref) <= 1e-15, (x, y)
+
+
 def test_bessel_lattice_determinants_skip_the_order_derivative():
+    # and the scalar J: every value comes from the one vector per alpha
     kernel = Bessel(23.7)
-    before = bessel_j_orderderiv.cache_info()
+    before = bessel_j_orderderiv.cache_info(), bessel_j.cache_info()
     det_discrete(kernel, MultiplicativeFunctional.indicator_gap(9))
     joint_rows(kernel, IntervalSystem([11.0, 8.0]))
-    assert bessel_j_orderderiv.cache_info() == before
+    assert (bessel_j_orderderiv.cache_info(), bessel_j.cache_info()) == before
 
 
 def test_bessel_rejects_bad_arguments():

@@ -1,6 +1,6 @@
 """Benchmark a change against its parent commit and write BENCH_<n>.json.
 
-    python3 tools/bench_pair.py --parent HEAD~1 --out BENCH_11.json
+    python3 tools/bench_pair.py --parent HEAD~1 --out BENCH_14.json
 
 The parent's tree is extracted from git into a temporary directory (by
 ``git archive``, which leaves no entry in the repository's own ``.git``),
@@ -13,9 +13,11 @@ its runs by its own ``bench/report.py``, as the benchmark builds what it
 runs from the source in its checkout.
 
 The output holds, per workload and side, every run's requests, wall time,
-failed items and end-to-end metrics, and the median and quartiles of each
-metric over the seeds; the number of seeds on which the change is better;
-the machine facts; and the line counts of ``src/`` on both sides.
+failed and flagged items and end-to-end metrics; the median and quartiles
+of each metric over the seeds, the median wall time, and the failed,
+flagged and attempted items summed over the seeds; the number of seeds on
+which the change is better; the machine facts; and the line counts of
+``src/`` on both sides.
 The temporary tree is removed afterwards, also when a run fails.
 """
 
@@ -72,17 +74,23 @@ def run_bench(report, workload: str, seed: int) -> dict:
         "requests": record["requests"],
         "wall_s": record["wall_s"],
         "failed": result["failed"],
+        "flagged": record["flagged"],
         "attempted": result["attempted"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
 
 def summarize(runs: list[dict]) -> dict:
+    """Median and quartiles of each metric, the median run length, and the
+    failed, flagged and attempted items summed over the runs."""
     out = {}
     for name in runs[0]["metrics"]:
         values = [r["metrics"][name] for r in runs]
         q1, _, q3 = statistics.quantiles(values, n=4)
         out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+    out["wall_s_median"] = statistics.median(r["wall_s"] for r in runs)
+    for key in ("failed", "flagged", "attempted"):
+        out[key] = sum(r[key] for r in runs)
     return out
 
 

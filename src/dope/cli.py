@@ -149,12 +149,6 @@ def _outcome_key(outcome) -> str:
 # gap tables
 
 
-def _percolation_spec(args) -> models.PercolationSpec:
-    return models.PercolationSpec(
-        tau0=args.tau0, kappa=args.kappa, lam=args.lam, p=_parse_prob(args.p)
-    )
-
-
 def _cmd_gap(args) -> int:
     t0 = time.time()
     chosen = [x for x in (args.kernel, args.model) if x]
@@ -178,9 +172,9 @@ def _cmd_gap(args) -> int:
     elif args.model == "percolation":
         if args.M is None or args.N is None or args.p is None or args.n is None:
             raise ValueError("--model percolation needs --M, --N, --p and --n")
-        spec = _percolation_spec(args)
+        p = _parse_prob(args.p)
         rows = [
-            (int(n), models.percolation_gap(spec, args.M, args.N, int(n)), 0.0)
+            (int(n), models.percolation_gap(p, args.M, args.N, int(n)), 0.0)
             for n in parse_range(args.n)
         ]
     else:
@@ -276,7 +270,9 @@ def _sample_setup(args):
     elif model == "percolation":
         if args.M is None or args.N is None or args.p is None:
             raise ValueError("percolation model needs --M (rows k), --N (target l), --p")
-        spec = _percolation_spec(args)
+        spec = models.PercolationSpec(
+            tau0=args.tau0, kappa=args.kappa, lam=args.lam, p=_parse_prob(args.p)
+        )
         p = spec.p
         draw = lambda rng: sampler.sample_bernoulli_matrix(args.M, args.N + 1, p, rng)
         stat = stat or "passage-time"
@@ -381,7 +377,6 @@ def _suite_percolation_exact():
                 tally[key] = tally.get(key, 0) + 1
             ok = True
             for p in probs:
-                spec = models.PercolationSpec(tau0=1, kappa=2, lam=1, p=p)
                 q = 1 - p
                 for level in range(0, m + 1):
                     brute = sum(
@@ -389,7 +384,7 @@ def _suite_percolation_exact():
                         for (lval, ones), c in tally.items()
                         if lval <= level
                     )
-                    if models.percolation_gap(spec, m, n, level) != brute:
+                    if models.percolation_gap(p, m, n, level) != brute:
                         ok = False
             checks.append((f"percolation M={m} N={n}", ok, "p in {1/4,1/2,3/4}"))
     return checks
@@ -522,9 +517,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--M", type=int, help="rows (percolation) or alphabet size (word)")
     gap.add_argument("--N", type=int, help="columns (percolation) or word length")
     gap.add_argument("--p", help="Bernoulli parameter; fractions like 1/4 stay exact")
-    gap.add_argument("--tau0", type=float, default=1.0)
-    gap.add_argument("--kappa", type=float, default=2.0)
-    gap.add_argument("--lam", type=float, default=1.0)
     gap.add_argument("--tol", type=float, default=1e-8)
     gap.add_argument("--out", help="output CSV path (manifest written alongside)")
     gap.set_defaults(func=_cmd_gap)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from scipy.special import nbdtrc, pdtrc
+
 from ._util import fraction_det, log_binomial, log_factorial
 from .partitions import (
     Partition,
@@ -417,73 +419,54 @@ class MultiplicativeFunctional:
 # expectations by direct summation
 
 
-_POISSON_SIZE_CAP = 400
 _SHELL_CAP = 10000
 
 
-def _poisson_tail_after(alpha: float, n0: int, tol: float, c: float, shift: int) -> bool:
-    """True when sum_{n > n0} e^-alpha (alpha^n / n!) c^(n+shift) < tol.
-
-    Valid once the term ratio alpha*c/(n0+2) drops below 1/2, when the tail
-    is dominated by twice its first term.
-    """
-    c = max(c, 1.0)
-    if (n0 + 2) <= 2.0 * alpha * c:
-        return False
-    log_term = -alpha + (n0 + 1) * (math.log(alpha) + math.log(c)) - log_factorial(n0 + 1)
-    log_term += shift * math.log(c)
-    return 2.0 * math.exp(log_term) < tol
+def _size_tail(spec, c: float, n: int) -> float:
+    """Bound on sum over |lam| > n of P(lam) c^l(lam), for c >= 1, from the
+    law of |lam|: Poisson(alpha) for the Poissonized Plancherel and Charlier
+    measures, NB(mn, 1 - q) for Meixner (the total of an m x n geometric
+    matrix).  The Poissonized bound uses l(lam) <= |lam|, the others
+    l(lam) <= m."""
+    if isinstance(spec, PoissonizedPlancherel):
+        return math.exp(spec.alpha * (c - 1.0)) * pdtrc(n, spec.alpha * c)
+    if isinstance(spec, Charlier):
+        return c**spec.m * pdtrc(n, spec.alpha)
+    return c**spec.m * nbdtrc(n, spec.m * spec.n, 1.0 - float(spec.q))
 
 
 def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
-    """E[g] by direct summation, truncated so the neglected mass (times the
-    functional's bound) stays below tol."""
+    """E[g] by direct summation.
+
+    Plancherel, Krawtchouk and Hahn sum over their finite support.  The
+    Poissonized Plancherel, Meixner and Charlier measures sum shell by shell
+    over |lam| = 0, 1, ..., N (at most m rows for the last two), with N the
+    first size where c^s T(N) < tol, c = max(g.bound, 1), s = max(g.shift, 0).
+    Since |g(lam)| <= c^(l(lam) + s), that bounds the neglected part, with
+    T(N) >= sum_{|lam| > N} P(lam) c^l(lam):
+
+    - Poissonized Plancherel: e^(alpha (c - 1)) P[Poisson(alpha c) > N];
+    - Charlier: c^m P[Poisson(alpha) > N];
+    - Meixner: c^m P[NB(mn, 1 - q) > N].
+
+    Raises ConvergenceError past _SHELL_CAP shells.
+    """
     if isinstance(spec, Plancherel):
         total = 0.0
         for lam in enumerate_partitions(spec.n):
             total += float(pmf_exact(spec, lam)) * g(lam)
         return total
-    if isinstance(spec, PoissonizedPlancherel):
-        alpha = spec.alpha
+    if isinstance(spec, (PoissonizedPlancherel, Meixner, Charlier)):
+        rows = None if isinstance(spec, PoissonizedPlancherel) else spec.m
         c = max(g.bound, 1.0)
+        weight = c ** max(g.shift, 0)
         total = 0.0
-        n = 0
-        while True:
-            log_pois = -alpha + (n * math.log(alpha) if n else 0.0) - log_factorial(n)
-            pois = math.exp(log_pois)
-            inner = 0.0
-            for lam in enumerate_partitions(n):
-                inner += float(pmf_exact(Plancherel(n), lam)) * g(lam)
-            total += pois * inner
-            if n > alpha and _poisson_tail_after(alpha, n, tol, c, g.shift):
+        for size in range(_SHELL_CAP + 1):
+            for lam in enumerate_partitions(size, max_length=rows):
+                total += pmf(spec, lam) * g(lam)
+            if weight * _size_tail(spec, c, size) < tol:
                 return total
-            n += 1
-            if n > _POISSON_SIZE_CAP:
-                raise ConvergenceError("poissonized sum failed to truncate")
-    if isinstance(spec, (Meixner, Charlier)):
-        # Shells of small size are negligible too when alpha or q is large,
-        # so a shell counts as quiet only once half the mass is in: the size
-        # law is unimodal, so such a shell lies past its mode.
-        m = spec.m
-        total = 0.0
-        mass = 0.0
-        quiet = 0
-        size = 0
-        while quiet < 4:
-            shell = 0.0
-            shell_mass = 0.0
-            for lam in enumerate_partitions(size, max_length=m):
-                p = pmf(spec, lam)
-                shell_mass += p
-                shell += p * g(lam)
-            total += shell
-            mass += shell_mass
-            negligible = shell_mass * max(g.bound, 1.0) < tol / 8
-            quiet = quiet + 1 if negligible and mass > 0.5 and size > m else 0
-            size += 1
-            if size > _SHELL_CAP:
-                raise ConvergenceError("ensemble sum failed to truncate")
-        return total
+        raise ConvergenceError("ensemble sum failed to truncate")
     if isinstance(spec, (Krawtchouk, Hahn)):
         total = 0.0
         for h in configurations(spec):
@@ -496,53 +479,34 @@ def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
 # Coulomb-gas approximation to the Poissonized expectation
 
 
-def coulomb_approx_F(alpha, m: int, g: MultiplicativeFunctional):
+def coulomb_approx_F(alpha, m: int, g: MultiplicativeFunctional) -> Fraction:
     """Ratio F_m[g] / F_m[1] for the gas Delta(x)^2 prod alpha^{x_j} / (x_j!)^2
     on m particles, which approaches the Poissonized-Plancherel E[g] as m grows.
 
     Evaluated through the Hankel determinant det[ sum_x x^{j+k} w(x) f(x + shift - m) ]
-    over x <= 3 sqrt(alpha) + 6 m + 25, rather than a sum over configurations.
-    Exact Fraction arithmetic when alpha is rational and the generator
-    returns rationals; float otherwise.
+    over x <= 3 sqrt(alpha) + 6 m + 25, rather than a sum over configurations,
+    in exact Fraction arithmetic: a float alpha, or a float from the
+    generator, is read as the rational it stores.
     """
     if m < 1:
         raise ValueError("m must be positive")
     cutoff = int(3.0 * math.sqrt(float(alpha))) + 6 * m + 25
-    exact = isinstance(alpha, (int, Fraction))
-    if exact:
-        alpha_f = Fraction(alpha)
-        weights = []
-        for x in range(cutoff + 1):
-            fx = math.factorial(x)
-            weights.append(alpha_f**x / (fx * fx))
-        fvals = [Fraction(g.f(x + g.shift - m)) for x in range(cutoff + 1)]
-        num = [[Fraction(0)] * m for _ in range(m)]
-        den = [[Fraction(0)] * m for _ in range(m)]
-        for x in range(cutoff + 1):
-            wx = weights[x]
-            powers = [Fraction(1)]
-            for _ in range(2 * m - 2):
-                powers.append(powers[-1] * x)
-            for j in range(m):
-                for k in range(m):
-                    den[j][k] += powers[j + k] * wx
-                    num[j][k] += powers[j + k] * wx * fvals[x]
-        return fraction_det(num) / fraction_det(den)
-
-    import numpy as np
-
-    xs = np.arange(cutoff + 1, dtype=float)
-    logw = xs * math.log(float(alpha)) - 2.0 * np.array([log_factorial(int(x)) for x in xs])
-    w = np.exp(logw - logw.max())
-    fv = np.array([g.f(int(x) + g.shift - m) for x in range(cutoff + 1)])
-    # scale the monomial basis to keep the Hankel matrices well conditioned
-    scale = max(1.0, float(np.argmax(w)))
-    mono = np.vander(xs / scale, m, increasing=True)
-    den = mono.T @ (w[:, None] * mono)
-    num = mono.T @ ((w * fv)[:, None] * mono)
-    sign_d, logdet_d = np.linalg.slogdet(den)
-    sign_n, logdet_n = np.linalg.slogdet(num)
-    return sign_n * sign_d * math.exp(logdet_n - logdet_d)
+    alpha_f = Fraction(alpha)
+    # Hankel moments sum_x x^d w(x), without and with the generator
+    mu = [Fraction(0)] * (2 * m - 1)
+    nu = [Fraction(0)] * (2 * m - 1)
+    wx = Fraction(1)
+    for x in range(cutoff + 1):
+        if x:
+            wx = wx * alpha_f / (x * x)
+        fx = Fraction(g.f(x + g.shift - m))
+        for d in range(2 * m - 1):
+            term = wx * x**d
+            mu[d] += term
+            nu[d] += term * fx
+    num = [[nu[j + k] for k in range(m)] for j in range(m)]
+    den = [[mu[j + k] for k in range(m)] for j in range(m)]
+    return fraction_det(num) / fraction_det(den)
 
 
 def equilibrium_density(t: float, r: float) -> float:

@@ -184,14 +184,17 @@ def word_gap(m, t, *, n=None, alpha=None, tol=1e-8):
 # Bernoulli last-passage percolation
 
 
-def percolation_gap(spec: PercolationSpec, rows: int, cols: int, level: int) -> Fraction:
-    """P[L(W) <= level] for a rows x cols Bernoulli(p) matrix W.
+def percolation_gap(p, rows: int, cols: int, level: int) -> Fraction:
+    """P[L(W) <= level] for a rows x cols Bernoulli(p) matrix W, 0 < p < 1.
 
     L(W) is the maximum number of ones collected along a path taking one
     entry per row with weakly increasing column indices.  The value is the
     Krawtchouk gap probability for cols particles on {0..cols+rows-1}: the
-    largest particle stays at or below level + cols - 1.
+    largest particle stays at or below level + cols - 1.  A rational p gives
+    the exact value; a float p is read as the rational it stores.
     """
+    if not 0 < p < 1:
+        raise ValueError("p must lie in (0, 1)")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if level < 0:
@@ -204,7 +207,7 @@ def percolation_gap(spec: PercolationSpec, rows: int, cols: int, level: int) -> 
             f"exact summation is capped at support size {_KRAWTCHOUK_SUPPORT_CAP}; "
             "use the Monte Carlo sampler for larger matrices"
         )
-    ens = Krawtchouk(n=cols, k=top, p=spec.p)
+    ens = Krawtchouk(n=cols, k=top, p=p)
     bound = level + cols - 1
     total = Fraction(0)
     for combo in itertools.combinations(range(bound + 1), cols):

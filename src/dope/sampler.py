@@ -123,16 +123,6 @@ class EmpiricalDistribution:
             raise ValueError("empty distribution")
         return Fraction(self.counts.get(outcome, 0), self.total)
 
-    def merge(self, other: "EmpiricalDistribution") -> "EmpiricalDistribution":
-        """Combine tallies from another worker (same seed, any stream order)."""
-        if self.seed != other.seed:
-            raise ValueError("can only merge tallies drawn under the same seed")
-        out = EmpiricalDistribution(dict(self.counts), self.total, self.seed, self.stream)
-        for k, v in other.counts.items():
-            out.counts[k] = out.counts.get(k, 0) + v
-        out.total += other.total
-        return out
-
     def check(self) -> None:
         if sum(self.counts.values()) != self.total:
             raise AssertionError("counts do not sum to total")

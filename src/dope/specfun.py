@@ -199,7 +199,6 @@ def charlier_radius(m: int, alpha: float) -> float:
     return r
 
 
-@lru_cache(maxsize=1 << 16)
 def charlier_auxiliary_A(m: int, alpha: float, x: int) -> float:
     """Positive prefactor A(x) multiplying the contour products in the
     kernel's integral form; tends to sqrt(alpha) for x near m + O(sqrt(alpha))."""
@@ -227,7 +226,6 @@ def _charlier_g(which: int, z, m: int, alpha: float):
     raise ValueError("which must be 1..4")
 
 
-@lru_cache(maxsize=1 << 16)
 def charlier_contour_D_witherr(
     m: int, alpha: float, x: int, which: int, r: float | None = None
 ):
@@ -263,7 +261,6 @@ def charlier_contour_D(m: int, alpha: float, x: int, which: int, r: float | None
     return charlier_contour_D_witherr(m, alpha, x, which, r)[0]
 
 
-@lru_cache(maxsize=1 << 16)
 def charlier_cut_F_witherr(
     m: int, alpha: float, x: int, which: int, r: float | None = None
 ):

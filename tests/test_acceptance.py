@@ -95,14 +95,13 @@ def test_criterion_03_bernoulli_matrix_law_exact():
             w = [bits[i * n : (i + 1) * n] for i in range(m)]
             counts[(rsk.bernoulli_path_max(w), sum(bits))] += 1
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            spec = models.PercolationSpec(tau0=1, kappa=1, lam=0, p=p)
             law: dict[int, Fraction] = {}
             for (ell, ones), c in counts.items():
                 weight = c * p**ones * (1 - p) ** (m * n - ones)
                 law[ell] = law.get(ell, Fraction(0)) + weight
             for level in range(m + 1):
                 lhs = sum(law.get(ell, Fraction(0)) for ell in range(level + 1))
-                assert lhs == models.percolation_gap(spec, m, n, level), (m, n, p, level)
+                assert lhs == models.percolation_gap(p, m, n, level), (m, n, p, level)
     elapsed = time.monotonic() - start
     print(f"criterion 3: 35 matrix shapes x 3 edge probabilities, exact; {elapsed:.2f} s (budget 60 s)")
     assert elapsed < 60.0

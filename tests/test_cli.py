@@ -103,6 +103,19 @@ def test_gap_percolation_exact_value(capsys):
     assert float(rows[0]["value"]) == 2.0**-9
 
 
+def test_gap_percolation_reads_only_p(capsys):
+    argv = ["gap", "--model", "percolation", "--M", "3", "--N", "3", "--p", "1/2", "--n", "0..3"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    # P[L <= n] for a 3x3 Bernoulli(1/2) matrix: 1, 38, 256 and 512 of 2^9
+    assert out == "threshold,value,tail_estimate\n0,0.001953125,0\n1,0.07421875,0\n2,0.5,0\n3,1,0\n"
+    # the percolation times belong to `sample`; the gap has no such flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--kappa", "0.5"])
+    assert exc.value.code == 2
+    assert "--kappa" in capsys.readouterr().err
+
+
 def test_gap_word_exact(capsys):
     code, out, err = _run(
         capsys, ["gap", "--model", "word", "--M", "2", "--N", "2", "--n", "0..2"]
@@ -251,8 +264,9 @@ def test_out_file_and_manifest(tmp_path, capsys):
 # verify suites
 
 
-def test_verify_words_exact_passes(capsys):
-    code, out, err = _run(capsys, ["verify", "words-exact"])
+@pytest.mark.parametrize("suite", list(cli._SUITES))
+def test_verify_suite_passes(capsys, suite):
+    code, out, err = _run(capsys, ["verify", suite])
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)

@@ -200,11 +200,34 @@ def test_expectation_of_one_is_one(spec):
     assert expectation(spec, ONE, tol=1e-10) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "spec,tol",
+    [
+        # the size law NB(mn, 1 - q) has a long tail here: past the first
+        # run of shells lighter than tol lie several tol of mass
+        (Meixner(m=1, n=10, q=0.97), 1e-10),
+        (Meixner(m=2, n=20, q=0.9), 1e-10),
+        (Meixner(m=1, n=30, q=0.95), 1e-6),
+    ],
+)
+def test_expectation_of_one_is_within_tol(spec, tol):
+    assert abs(1.0 - expectation(spec, ONE, tol=tol)) <= tol
+
+
+@pytest.mark.parametrize("alpha", [3.0, 20.0])
+def test_expectation_tail_carries_the_bound_per_row(alpha):
+    # g = 2 on every nonempty one-row shape, so E[g] = 2 - e^-alpha; the
+    # neglected tail weighs twice its probability
+    two = MultiplicativeFunctional(lambda s: 2.0 if s >= 0 else 1.0, bound=2.0)
+    tol = 1e-10
+    value = expectation(Charlier(m=1, alpha=alpha), two, tol=tol)
+    assert abs(value - (2.0 - math.exp(-alpha))) <= tol
+
+
 def test_expectation_caps_raise_convergence_error(monkeypatch):
     monkeypatch.setattr(ensembles, "_SHELL_CAP", 3)
     with pytest.raises(ConvergenceError):
         expectation(Charlier(m=2, alpha=10.0), ONE)
-    monkeypatch.setattr(ensembles, "_POISSON_SIZE_CAP", 3)
     with pytest.raises(ConvergenceError):
         expectation(PoissonizedPlancherel(10.0), ONE)
 
@@ -248,6 +271,12 @@ def test_coulomb_ratio_approaches_poissonized_expectation():
     errs = [abs(float(coulomb_approx_F(1, m, g)) - target) for m in (4, 8, 16)]
     assert errs[2] < errs[0]
     assert errs[2] < 1e-6
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_coulomb_ratio_reads_a_float_alpha_exactly(m):
+    g = MultiplicativeFunctional.indicator_gap(2)
+    assert float(coulomb_approx_F(1.0, m, g)) == float(coulomb_approx_F(1, m, g))
 
 
 def test_equilibrium_density_profile():

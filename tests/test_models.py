@@ -155,7 +155,6 @@ def test_empty_slice_is_certain():
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (3, 2), (2, 3)])
 def test_percolation_gap_matches_brute_force(rows, cols):
     for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        spec = PercolationSpec(tau0=1, kappa=2, lam=1, p=p)
         law: Counter = Counter()
         for bits in itertools.product((0, 1), repeat=rows * cols):
             w = [bits[i * cols : (i + 1) * cols] for i in range(rows)]
@@ -163,13 +162,18 @@ def test_percolation_gap_matches_brute_force(rows, cols):
             law[bernoulli_path_max(w)] += prob
         for level in range(-1, rows + 2):
             brute = sum(v for l, v in law.items() if l <= level)
-            assert percolation_gap(spec, rows, cols, level) == brute
+            assert percolation_gap(p, rows, cols, level) == brute
+
+
+def test_percolation_gap_needs_p_inside_the_unit_interval():
+    for p in (0, 1, Fraction(3, 2), -0.5):
+        with pytest.raises(ValueError):
+            percolation_gap(p, 2, 2, 1)
 
 
 def test_percolation_gap_support_cap():
-    spec = PercolationSpec(tau0=1, kappa=2, lam=1, p=Fraction(1, 2))
     with pytest.raises(ValueError):
-        percolation_gap(spec, 20, 20, 3)
+        percolation_gap(Fraction(1, 2), 20, 20, 3)
 
 
 @given(
@@ -179,8 +183,7 @@ def test_percolation_gap_support_cap():
 )
 @settings(max_examples=25, deadline=None)
 def test_percolation_gap_is_a_cdf_in_the_level(rows, cols, p):
-    spec = PercolationSpec(tau0=1, kappa=2, lam=1, p=p)
-    values = [percolation_gap(spec, rows, cols, lev) for lev in range(-1, rows + 1)]
+    values = [percolation_gap(p, rows, cols, lev) for lev in range(-1, rows + 1)]
     assert values[0] == 0
     assert values[-1] == 1
     assert all(a <= b for a, b in zip(values, values[1:]))

@@ -92,13 +92,6 @@ def test_empirical_distribution_bookkeeping():
     assert d.frequency("y") == Fraction(3, 4)
     assert d.frequency("z") == 0
     d.check()
-    other = EmpiricalDistribution(seed=5, stream=3)
-    other.add("x", 2)
-    merged = d.merge(other)
-    assert merged.total == 6
-    assert merged.frequency("x") == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        d.merge(EmpiricalDistribution(seed=6, stream=0))
 
 
 def test_empirical_law_is_reproducible():

@@ -14,7 +14,8 @@ runs from the source in its checkout.
 
 The output holds, per workload and side, every run's requests, wall time,
 failed and flagged items and end-to-end metrics; the median and quartiles
-of each metric over the seeds, the median wall time, and the failed,
+of each metric over the seeds, the median wall time and request count
+(the oracle check of every request sets the run length), and the failed,
 flagged and attempted items summed over the seeds; the number of seeds on
 which the change is better; the machine facts; and the line counts of
 ``src/`` on both sides.
@@ -81,14 +82,16 @@ def run_bench(report, workload: str, seed: int) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Median and quartiles of each metric, the median run length, and the
-    failed, flagged and attempted items summed over the runs."""
+    """Median and quartiles of each metric, the median run length in wall
+    time and in requests, and the failed, flagged and attempted items summed
+    over the runs."""
     out = {}
     for name in runs[0]["metrics"]:
         values = [r["metrics"][name] for r in runs]
         q1, _, q3 = statistics.quantiles(values, n=4)
         out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
     out["wall_s_median"] = statistics.median(r["wall_s"] for r in runs)
+    out["requests_median"] = statistics.median(r["requests"] for r in runs)
     for key in ("failed", "flagged", "attempted"):
         out[key] = sum(r[key] for r in runs)
     return out

@@ -37,27 +37,26 @@ def log_binomial(n: int, k: int) -> float:
 
 
 def fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+    """Exact determinant, fraction-free: each row is scaled to integers by the
+    lcm of its denominators, then Bareiss elimination runs over the integers,
+    every division exact.  The 0 x 0 determinant is 1."""
+    a, scale = [], Fraction(1)
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (d // x.denominator) for x in row])
+        scale /= d
+    n, sign, prev = len(a), 1, 1
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
+            sign = -sign
+        p = a[col][col]
         for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
+            for c in range(col + 1, n):
+                a[r][c] = (a[r][c] * p - a[r][col] * a[col][c]) // prev
+        prev = p
+    return sign * prev * scale

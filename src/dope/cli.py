@@ -86,8 +86,19 @@ def _parse_prob(text: str):
     """Probabilities given as `a/b` stay exact rationals; decimals are floats."""
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"probability {text!r} has a zero denominator") from None
     return float(text)
+
+
+def _thresholds(text: str) -> list[int]:
+    """The integer threshold grid of `dope gap`; non-whole values are errors."""
+    vals = parse_range(text)
+    if not all(isinstance(v, int) or v.is_integer() for v in vals):
+        raise ValueError(f"thresholds {text!r} are not all whole numbers")
+    return [int(v) for v in vals]
 
 
 def _csv_text(header, rows) -> str:
@@ -160,7 +171,6 @@ def _cmd_gap(args) -> int:
         ker = kernels.Bessel(float(args.alpha))
 
         def one(n):
-            n = int(n)
             res = fredholm.det_discrete(
                 ker, MultiplicativeFunctional.indicator_gap(n), tol=args.tol
             )
@@ -168,14 +178,13 @@ def _cmd_gap(args) -> int:
                 raise ConvergenceError(f"gap at threshold {n} did not converge")
             return (n, res.value, res.tail_estimate)
 
-        rows = [one(n) for n in parse_range(args.n)]
+        rows = [one(n) for n in _thresholds(args.n)]
     elif args.model == "percolation":
         if args.M is None or args.N is None or args.p is None or args.n is None:
             raise ValueError("--model percolation needs --M, --N, --p and --n")
         p = _parse_prob(args.p)
         rows = [
-            (int(n), models.percolation_gap(p, args.M, args.N, int(n)), 0.0)
-            for n in parse_range(args.n)
+            (n, models.percolation_gap(p, args.M, args.N, n), 0.0) for n in _thresholds(args.n)
         ]
     else:
         if args.M is None or args.n is None:
@@ -183,12 +192,12 @@ def _cmd_gap(args) -> int:
         if (args.N is None) == (args.alpha is None):
             raise ValueError("--model word needs exactly one of --N or --alpha")
         rows = []
-        for t in parse_range(args.n):
+        for t in _thresholds(args.n):
             if args.N is not None:
-                rows.append((int(t), models.word_gap(args.M, int(t), n=args.N), 0.0))
+                rows.append((t, models.word_gap(args.M, t, n=args.N), 0.0))
             else:
-                value = models.word_gap(args.M, int(t), alpha=args.alpha, tol=args.tol)
-                rows.append((int(t), value, args.tol))
+                value = models.word_gap(args.M, t, alpha=args.alpha, tol=args.tol)
+                rows.append((t, value, args.tol))
     _emit(args, _csv_text(("threshold", "value", "tail_estimate"), rows), t0)
     return 0
 

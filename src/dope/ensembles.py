@@ -26,7 +26,6 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     frobenius_dimension,
-    from_particles,
     vandermonde_v,
     weight_w,
 )
@@ -201,41 +200,46 @@ def _check_config(h: Sequence[int]) -> tuple[int, ...]:
 
 
 def _delta_sq_exact(h: Sequence[int]) -> int:
-    out = 1
-    for i in range(len(h)):
-        for j in range(i + 1, len(h)):
-            out *= (h[i] - h[j]) ** 2
-    return out
+    return math.prod((a - b) ** 2 for i, a in enumerate(h) for b in h[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
 # normalizing constants
 
 
+def _hankel_det(weights: Sequence[Fraction], count: int) -> Fraction:
+    """det[sum_x x^(j+k) w_x]_{j,k<count} over sites x = 0, 1, ...: by Heine's
+    identity, the sum of Delta(h)^2 prod w_{h_i} over all count-subsets h."""
+    moments = [sum(w * x**d for x, w in enumerate(weights)) for d in range(2 * count - 1)]
+    return fraction_det([moments[j : j + count] for j in range(count)])
+
+
+def _finite_support(spec) -> tuple[int, int]:
+    """(top site, particle count) of a Krawtchouk or Hahn ensemble."""
+    if isinstance(spec, Krawtchouk):
+        return spec.k, spec.n
+    if isinstance(spec, Hahn):
+        return spec.n, spec.k
+    raise TypeError("only Krawtchouk and Hahn have finite support")
+
+
 def normalization(spec):
     """Normalizing constant of the Coulomb-gas form, where one is exposed.
 
-    For Krawtchouk this is the closed product formula for the sum of
-    Delta^2 prod w over ordered tuples {0..k}^n (so the configuration
-    probability carries an extra n!).  For Hahn it is the exact sum of
-    Delta^2 prod w over configurations.  Meixner and Charlier return the
-    constant relating Delta^2 prod w to the partition-coordinate density,
-    exactly, for the rational value of each parameter.
+    For Krawtchouk (closed product) and Hahn (`_hankel_det`) this is the sum
+    of Delta^2 prod w over configurations, the probability's denominator.
+    Meixner and Charlier return the constant relating Delta^2 prod w to the
+    partition-coordinate density.  All are exact for the rational value of
+    each parameter.
     """
     if isinstance(spec, Krawtchouk):
-        p = Fraction(spec.p)
-        q = 1 - p
-        z = Fraction(math.factorial(spec.n))
-        for j in range(spec.n):
-            z *= Fraction(math.factorial(j), math.factorial(spec.k - j))
-        z *= Fraction(math.factorial(spec.k)) ** spec.n
-        z *= (p * q) ** (spec.n * (spec.n - 1) // 2)
+        p, n, k = Fraction(spec.p), spec.n, spec.k
+        z = (p * (1 - p)) ** (n * (n - 1) // 2) * Fraction(math.factorial(k)) ** n
+        for j in range(n):
+            z *= Fraction(math.factorial(j), math.factorial(k - j))
         return z
     if isinstance(spec, Hahn):
-        z = Fraction(0)
-        for h in configurations(spec):
-            z += _delta_sq_exact(h) * math.prod(_site_weight_exact(spec, x) for x in h)
-        return z
+        return _hankel_det([_site_weight_exact(spec, x) for x in range(spec.n + 1)], spec.k)
     if isinstance(spec, Meixner):
         m, n, q = spec.m, spec.n, Fraction(spec.q)
         z = q ** (m * (m - 1) // 2) * (1 - q) ** (-m * n)
@@ -253,13 +257,8 @@ def normalization(spec):
 
 def configurations(spec) -> Iterator[tuple[int, ...]]:
     """All particle configurations of a finite-support ensemble, decreasing tuples."""
-    if isinstance(spec, Krawtchouk):
-        size, count = spec.k, spec.n
-    elif isinstance(spec, Hahn):
-        size, count = spec.n, spec.k
-    else:
-        raise TypeError("only Krawtchouk and Hahn have finite support")
-    for combo in itertools.combinations(range(size + 1), count):
+    top, count = _finite_support(spec)
+    for combo in itertools.combinations(range(top + 1), count):
         yield tuple(reversed(combo))
 
 
@@ -268,24 +267,18 @@ def configurations(spec) -> Iterator[tuple[int, ...]]:
 
 
 def pmf_exact(spec, x):
-    """Exact rational probability.  Supported for Plancherel (any n),
-    the word-shape measure, and Krawtchouk/Hahn with rational parameters."""
+    """Exact rational probability of a partition (Plancherel) or of a particle
+    configuration (Krawtchouk, Hahn: Delta^2 prod w / normalization)."""
     if isinstance(spec, Plancherel):
         lam = x
         if lam.size != spec.n:
             return Fraction(0)
         f = frobenius_dimension(lam)
         return Fraction(f * f, math.factorial(spec.n))
-    if isinstance(spec, Krawtchouk):
+    if isinstance(spec, (Krawtchouk, Hahn)):
+        top, count = _finite_support(spec)
         h = _check_config(x)
-        if len(h) != spec.n or (h and h[0] > spec.k):
-            return Fraction(0)
-        num = Fraction(math.factorial(spec.n) * _delta_sq_exact(h))
-        num *= math.prod(_site_weight_exact(spec, t) for t in h)
-        return num / normalization(spec)
-    if isinstance(spec, Hahn):
-        h = _check_config(x)
-        if len(h) != spec.k or (h and h[0] > spec.n):
+        if len(h) != count or (h and h[0] > top):
             return Fraction(0)
         num = Fraction(_delta_sq_exact(h)) * math.prod(_site_weight_exact(spec, t) for t in h)
         return num / normalization(spec)
@@ -435,14 +428,25 @@ def _size_tail(spec, c: float, n: int) -> float:
     return c**spec.m * nbdtrc(n, spec.m * spec.n, 1.0 - float(spec.q))
 
 
-def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
-    """E[g] by direct summation.
+def _finite_expectation(spec, g: MultiplicativeFunctional) -> Fraction:
+    """Exact E[g] over a Krawtchouk or Hahn ensemble of m particles h_i:
+    g = prod_i f(h_i - m + shift) times the empty-row factors f(shift - i),
+    m < i <= shift, summed over configurations by `_hankel_det`."""
+    top, m = _finite_support(spec)
+    tilt = [_site_weight_exact(spec, x) * Fraction(g.f(x - m + g.shift)) for x in range(top + 1)]
+    empty = math.prod(Fraction(g.f(g.shift - i)) for i in range(m + 1, g.shift + 1))
+    return _hankel_det(tilt, m) / normalization(spec) * empty
 
-    Plancherel, Krawtchouk and Hahn sum over their finite support.  The
-    Poissonized Plancherel, Meixner and Charlier measures sum shell by shell
-    over |lam| = 0, 1, ..., N (at most m rows for the last two), with N the
-    first size where c^s T(N) < tol, c = max(g.bound, 1), s = max(g.shift, 0).
-    Since |g(lam)| <= c^(l(lam) + s), that bounds the neglected part, with
+
+def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
+    """E[g] by direct summation, or by Hankel determinants.
+
+    Plancherel sums over the partitions of n; Krawtchouk and Hahn return the
+    float of the exact `_finite_expectation`.  The Poissonized Plancherel,
+    Meixner and Charlier measures sum shell by shell over |lam| = 0, 1, ..., N
+    (at most m rows for the last two), with N the first size where
+    c^s T(N) < tol, c = max(g.bound, 1), s = max(g.shift, 0).  Since
+    |g(lam)| <= c^(l(lam) + s), that bounds the neglected part, with
     T(N) >= sum_{|lam| > N} P(lam) c^l(lam):
 
     - Poissonized Plancherel: e^(alpha (c - 1)) P[Poisson(alpha c) > N];
@@ -468,10 +472,7 @@ def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
                 return total
         raise ConvergenceError("ensemble sum failed to truncate")
     if isinstance(spec, (Krawtchouk, Hahn)):
-        total = 0.0
-        for h in configurations(spec):
-            total += float(pmf_exact(spec, h)) * g(from_particles(h))
-        return total
+        return float(_finite_expectation(spec, g))
     raise TypeError(f"no expectation for {type(spec).__name__}")
 
 
@@ -483,30 +484,17 @@ def coulomb_approx_F(alpha, m: int, g: MultiplicativeFunctional) -> Fraction:
     """Ratio F_m[g] / F_m[1] for the gas Delta(x)^2 prod alpha^{x_j} / (x_j!)^2
     on m particles, which approaches the Poissonized-Plancherel E[g] as m grows.
 
-    Evaluated through the Hankel determinant det[ sum_x x^{j+k} w(x) f(x + shift - m) ]
-    over x <= 3 sqrt(alpha) + 6 m + 25, rather than a sum over configurations,
-    in exact Fraction arithmetic: a float alpha, or a float from the
-    generator, is read as the rational it stores.
+    Both are Heine-Hankel determinants (`_hankel_det`) of the weights over
+    x <= 3 sqrt(alpha) + 6 m + 25, with and without the factor
+    f(x + shift - m), in exact Fraction arithmetic: a float alpha, or a float
+    from the generator, is read as the rational it stores.
     """
     if m < 1:
         raise ValueError("m must be positive")
     cutoff = int(3.0 * math.sqrt(float(alpha))) + 6 * m + 25
-    alpha_f = Fraction(alpha)
-    # Hankel moments sum_x x^d w(x), without and with the generator
-    mu = [Fraction(0)] * (2 * m - 1)
-    nu = [Fraction(0)] * (2 * m - 1)
-    wx = Fraction(1)
-    for x in range(cutoff + 1):
-        if x:
-            wx = wx * alpha_f / (x * x)
-        fx = Fraction(g.f(x + g.shift - m))
-        for d in range(2 * m - 1):
-            term = wx * x**d
-            mu[d] += term
-            nu[d] += term * fx
-    num = [[nu[j + k] for k in range(m)] for j in range(m)]
-    den = [[mu[j + k] for k in range(m)] for j in range(m)]
-    return fraction_det(num) / fraction_det(den)
+    weights = [Fraction(alpha) ** x / math.factorial(x) ** 2 for x in range(cutoff + 1)]
+    tilted = [w * Fraction(g.f(x + g.shift - m)) for x, w in enumerate(weights)]
+    return _hankel_det(tilted, m) / _hankel_det(weights, m)
 
 
 def equilibrium_density(t: float, r: float) -> float:

@@ -153,6 +153,10 @@ def det_discrete(
     is truncated where tailTrace, the diagonal tail sum times 1 + sup|f|,
     drops below tol; tailTrace certifies the neglected part when
     sup|f| <= 1, and tailTrace * exp(totalTrace + tailTrace) otherwise.
+
+    Relative error of F = P[lam_1 <= n] at alpha = 400, against Gessel's
+    Toeplitz determinant: 1e-12 at F = 0.97, 1e-11 at 8.8e-3, 1e-8 at 1.2e-17,
+    1e-5 at 5.8e-31; none below F ~ 1e-40 (1.1e3 at n = 8, F = 8.1e-79).
     """
     if not isinstance(kernel, kernels.Bessel):
         raise TypeError("det_discrete expects the discrete Bessel kernel")

@@ -15,7 +15,6 @@ exercised against brute-force enumeration in the test suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .ensembles import (
     Hahn,
     Krawtchouk,
     MultiplicativeFunctional,
+    _finite_expectation,
     expectation,
     pmf_exact,
     word_shape_pmf,
@@ -190,8 +190,9 @@ def percolation_gap(p, rows: int, cols: int, level: int) -> Fraction:
     L(W) is the maximum number of ones collected along a path taking one
     entry per row with weakly increasing column indices.  The value is the
     Krawtchouk gap probability for cols particles on {0..cols+rows-1}: the
-    largest particle stays at or below level + cols - 1.  A rational p gives
-    the exact value; a float p is read as the rational it stores.
+    largest particle stays at or below level + cols - 1 (`_finite_expectation`
+    of `indicator_gap(level)`).  A rational p gives the exact value; a float
+    p is read as the rational it stores.
     """
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
@@ -207,12 +208,9 @@ def percolation_gap(p, rows: int, cols: int, level: int) -> Fraction:
             f"exact summation is capped at support size {_KRAWTCHOUK_SUPPORT_CAP}; "
             "use the Monte Carlo sampler for larger matrices"
         )
-    ens = Krawtchouk(n=cols, k=top, p=p)
-    bound = level + cols - 1
-    total = Fraction(0)
-    for combo in itertools.combinations(range(bound + 1), cols):
-        total += pmf_exact(ens, combo[::-1])
-    return total
+    return _finite_expectation(
+        Krawtchouk(n=cols, k=top, p=p), MultiplicativeFunctional.indicator_gap(level)
+    )
 
 
 def percolation_constants(x, y, spec: PercolationSpec) -> PercolationConstants:
@@ -500,8 +498,8 @@ def hexagon_slice_pmf(a: int, k: int, h: Sequence[int]) -> Fraction:
     Under the uniform lozenge-tiling measure the k positions on slice k form
     the Hahn ensemble `Hahn.hexagon(a, k)` on {0..a+k-1}: a squared
     Vandermonde times the site weight C(h+a-k, h) C(2a-1-h, a+k-1-h), with
-    the normalizer summed exactly over all k-subsets.  Out-of-range or
-    repeated positions get probability 0.  `h` may be given in any order.
+    the normalizer an exact Hankel determinant (Heine's identity).  Out-of-range
+    or repeated positions get probability 0.  `h` may be given in any order.
     """
     if a < 1:
         raise ValueError("hexagon side must be at least 1")

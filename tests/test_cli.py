@@ -163,6 +163,34 @@ def test_gap_rejects_option_prefixes(capsys, flag, value):
     assert "ambiguous" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--model", "percolation", "--M", "2", "--N", "2", "--p", "1/0", "--n", "0..2"],
+        ["sample", "--model", "bernoulli", "--M", "2", "--N", "2", "--p", "1/0"],
+    ],
+)
+def test_zero_denominator_probability_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--kernel", "bessel", "--alpha", "1", "--n", "0..2:0.5"],
+        ["gap", "--model", "word", "--M", "2", "--N", "4", "--n", "1.7"],
+    ],
+)
+def test_gap_rejects_thresholds_that_are_not_whole(capsys, argv):
+    # a fractional threshold used to be truncated silently to the integer below
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "not all whole numbers" in err
+
+
 def test_gap_requires_a_mode(capsys):
     code, out, err = _run(capsys, ["gap", "--alpha", "1", "--n", "0..2"])
     assert code == 2

@@ -26,7 +26,7 @@ from dope.ensembles import (
     pmf_particles,
     word_shape_pmf,
 )
-from dope.partitions import Partition, enumerate_partitions, particles
+from dope.partitions import Partition, enumerate_partitions, from_particles, particles
 from dope.rsk import matrix_rsk_shape, rsk_shape
 from dope.specfun import ConvergenceError
 
@@ -104,6 +104,8 @@ def test_krawtchouk_closed_form_normalization_sums_to_one(spec):
         Hahn(k=2, a=1, b=2, n=4),
         Hahn.hexagon(3, 2),
         Hahn.hexagon(4, 4),
+        Hahn.hexagon(5, 4),
+        Hahn(k=3, a=2, b=0, n=7),
     ],
 )
 def test_hahn_sums_to_one(spec):
@@ -251,6 +253,32 @@ def test_indicator_gap_expectation_is_cumulative_largest_part():
         )
         g = MultiplicativeFunctional.indicator_gap(t)
         assert expectation(spec, g) == pytest.approx(direct, rel=1e-12)
+
+
+def _site_weight(spec, x):
+    if isinstance(spec, Krawtchouk):
+        p = Fraction(spec.p)
+        return math.comb(spec.k, x) * p**x * (1 - p) ** (spec.k - x)
+    return Fraction(math.comb(x + spec.a, x) * math.comb(spec.n + spec.b - x, spec.n - x))
+
+
+@pytest.mark.parametrize(
+    "spec", [Krawtchouk(n=3, k=6, p=Fraction(2, 5)), Hahn(k=3, a=1, b=2, n=6)]
+)
+@pytest.mark.parametrize("shift", [0, 5])
+def test_finite_expectation_matches_the_configuration_sum(spec, shift):
+    # shift 5 exceeds the 3 particles, so rows 4 and 5 contribute f(1) f(0)
+    values = (2.0, -0.5, 1.5, 0.25, -2.0)
+    g = MultiplicativeFunctional(
+        lambda s: 1.0 if s < 0 else values[s % 5], shift=shift, bound=2.0
+    )
+    num = den = Fraction(0)
+    for h in configurations(spec):
+        mass = math.prod((a - b) ** 2 for a, b in itertools.combinations(h, 2))
+        mass *= math.prod(_site_weight(spec, x) for x in h)
+        num += mass * Fraction(g(from_particles(h)))
+        den += mass
+    assert expectation(spec, g) == pytest.approx(float(num / den), rel=1e-12)
 
 
 def test_multiplicative_functional_requires_unit_tail():

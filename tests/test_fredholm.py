@@ -26,6 +26,23 @@ from dope.kernels import AiryKernel, Bessel, CharlierKernel, HermiteKernel
 from dope.models import word_gap
 
 
+def _gessel(alpha: int, n: int):
+    """P[lam_1 <= n] = e^-alpha det[I_{j-k}(2 sqrt alpha)]_{n x n}, 120 digits."""
+    with mpmath.workdps(120):
+        x = 2 * mpmath.sqrt(alpha)
+        i = [mpmath.besseli(d, x) for d in range(n)]
+        toeplitz = mpmath.matrix([[i[abs(j - k)] for k in range(n)] for j in range(n)])
+        return mpmath.exp(-alpha) * mpmath.det(toeplitz)
+
+
+@pytest.mark.parametrize("n,rel", [(16, 1e-4), (20, 1e-7), (30, 1e-10), (40, 1e-11)])
+def test_det_discrete_deep_tail_relative_accuracy(n, rel):
+    # F runs from 5.8e-31 (n = 16) to 0.97 (n = 40) at alpha = 400
+    ref = _gessel(400, n)
+    got = det_discrete(Bessel(400.0), MultiplicativeFunctional.indicator_gap(n)).value
+    assert abs(got - ref) <= rel * ref
+
+
 def test_admissible_counts_are_ballot_sequences():
     assert admissible_counts(1) == [(0,)]
     assert sorted(admissible_counts(2)) == [(0, 0), (0, 1)]

@@ -165,6 +165,23 @@ def test_percolation_gap_matches_brute_force(rows, cols):
             assert percolation_gap(p, rows, cols, level) == brute
 
 
+@pytest.mark.parametrize("rows,cols", [(6, 6), (3, 8)])
+@pytest.mark.parametrize("p", [Fraction(1, 3), 0.3])
+def test_percolation_gap_is_the_krawtchouk_configuration_sum(rows, cols, p):
+    # cols particles on {0..top}, weight C(top, x) p^x (1-p)^(top-x), summed
+    # over the configurations whose top particle is at most level + cols - 1
+    top, p_exact = rows + cols - 1, Fraction(p)
+    weight = [math.comb(top, x) * p_exact**x * (1 - p_exact) ** (top - x) for x in range(top + 1)]
+    by_top: Counter = Counter()
+    for h in itertools.combinations(range(top + 1), cols):
+        mass = math.prod((a - b) ** 2 for a, b in itertools.combinations(h, 2))
+        by_top[h[-1]] += mass * math.prod(weight[x] for x in h)
+    total = sum(by_top.values())
+    for level in range(-1, rows + 2):
+        inside = sum(v for t, v in by_top.items() if t <= level + cols - 1)
+        assert percolation_gap(p, rows, cols, level) == inside / total
+
+
 def test_percolation_gap_needs_p_inside_the_unit_interval():
     for p in (0, 1, Fraction(3, 2), -0.5):
         with pytest.raises(ValueError):

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -163,30 +165,26 @@ class Hahn:
 # site weights (exact where the parameters allow it)
 
 
-def _site_weight_exact(spec, x: int) -> Fraction:
-    if x < 0:
-        return Fraction(0)
+def _weight(spec) -> tuple[int | Fraction, Callable[[int], tuple[int, int]]]:
+    """Site weight as w(0) and x -> w(x+1)/w(x), an integer pair.  Charlier's
+    a^x / x! leaves out e^-a, and the Poissonized Plancherel alpha^x / (x!)^2
+    (a particle per row of a partition with at most j rows) e^-alpha."""
     if isinstance(spec, Meixner):
         q = Fraction(spec.q)
-        return Fraction(math.comb(x + spec.k - 1, x)) * q**x
+        return 1, lambda x: ((x + spec.k) * q.numerator, (x + 1) * q.denominator)
+    if isinstance(spec, Charlier):
+        a = Fraction(spec.alpha) / spec.m
+        return 1, lambda x: (a.numerator, (x + 1) * a.denominator)
+    if isinstance(spec, PoissonizedPlancherel):
+        a = Fraction(spec.alpha)
+        return 1, lambda x: (a.numerator, (x + 1) ** 2 * a.denominator)
     if isinstance(spec, Krawtchouk):
-        if x > spec.k:
-            return Fraction(0)
-        p = Fraction(spec.p)
-        return Fraction(math.comb(spec.k, x)) * p**x * (1 - p) ** (spec.k - x)
+        p, r, k = Fraction(spec.p), 1 - Fraction(spec.p), spec.k
+        return r**k, lambda x: ((k - x) * p.numerator, (x + 1) * r.numerator)
     if isinstance(spec, Hahn):
-        if x > spec.n:
-            return Fraction(0)
-        return Fraction(math.comb(x + spec.a, x) * math.comb(spec.n + spec.b - x, spec.n - x))
-    raise TypeError(f"no exact site weight for {type(spec).__name__}")
-
-
-def _log_site_weight(spec, x: int) -> float:
-    """log w(x) of the Meixner or Charlier weight at a site x >= 0."""
-    if isinstance(spec, Meixner):
-        return log_binomial(x + spec.k - 1, x) + x * math.log(spec.q)
-    a = spec.a
-    return -a + x * math.log(a) - log_factorial(x)
+        a, b, n = spec.a, spec.b, spec.n
+        return math.comb(n + b, n), lambda x: ((x + a + 1) * (n - x), (x + 1) * (n + b - x))
+    raise TypeError(f"no site weight for {type(spec).__name__}")
 
 
 def _check_config(h: Sequence[int]) -> tuple[int, ...]:
@@ -199,19 +197,45 @@ def _check_config(h: Sequence[int]) -> tuple[int, ...]:
     return h
 
 
-def _delta_sq_exact(h: Sequence[int]) -> int:
-    return math.prod((a - b) ** 2 for i, a in enumerate(h) for b in h[i + 1 :])
+def _exact(v) -> Fraction:
+    """A generator value as a rational: itself if rational, else its float."""
+    return Fraction(v) if isinstance(v, numbers.Rational) else Fraction(float(v))
+
+
+def _gas_mass(spec, h: Sequence[int]) -> Fraction:
+    """Delta(h)^2 prod w(h_i) for a nonempty decreasing h, w of `_weight`."""
+    w0, ratio = _weight(spec)
+    w = list(itertools.accumulate(range(h[0]), lambda v, t: v * Fraction(*ratio(t)), initial=w0))
+    delta_sq = math.prod((a - b) ** 2 for i, a in enumerate(h) for b in h[i + 1 :])
+    return delta_sq * math.prod(w[t] for t in h)
 
 
 # ---------------------------------------------------------------------------
 # normalizing constants
 
 
-def _hankel_det(weights: Sequence[Fraction], count: int) -> Fraction:
-    """det[sum_x x^(j+k) w_x]_{j,k<count} over sites x = 0, 1, ...: by Heine's
-    identity, the sum of Delta(h)^2 prod w_{h_i} over all count-subsets h."""
-    moments = [sum(w * x**d for x, w in enumerate(weights)) for d in range(2 * count - 1)]
-    return fraction_det([moments[j : j + count] for j in range(count)])
+def _hankel_det(spec, count: int, top: int, f: Callable[[int], float] = lambda x: 1) -> Fraction:
+    """det[sum_{x<=top} x^(j+k) f(x) w(x)]_{j,k<count}: by Heine's identity,
+    the sum of Delta(h)^2 prod f(h_i) w(h_i) over the count-subsets h of
+    {0..top}.  Each moment is one Horner pass down from the last site where
+    f is nonzero, over the ratios of `_weight`, in integers num / den."""
+    w0, ratio = _weight(spec)
+    values = [_exact(f(x)) for x in range(top + 1)]
+    while values and not values[-1]:
+        values.pop()
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    ratios = [ratio(x) for x in range(len(values) - 1)]
+    moments, den = [], 1
+    for d in range(2 * count - 1):
+        num, den = 0, 1
+        for x in reversed(range(len(ints))):
+            p, q = ratios[x] if x < len(ratios) else (1, 1)
+            den *= q
+            num = num * p + ints[x] * x**d * den
+        moments.append(num)
+    hankel = [moments[j : j + count] for j in range(count)]
+    return fraction_det(hankel) * Fraction(w0, den * scale) ** count
 
 
 def _finite_support(spec) -> tuple[int, int]:
@@ -223,6 +247,7 @@ def _finite_support(spec) -> tuple[int, int]:
     raise TypeError("only Krawtchouk and Hahn have finite support")
 
 
+@lru_cache(maxsize=64)
 def normalization(spec):
     """Normalizing constant of the Coulomb-gas form, where one is exposed.
 
@@ -230,7 +255,7 @@ def normalization(spec):
     of Delta^2 prod w over configurations, the probability's denominator.
     Meixner and Charlier return the constant relating Delta^2 prod w to the
     partition-coordinate density.  All are exact for the rational value of
-    each parameter.
+    each parameter, and cached per spec.
     """
     if isinstance(spec, Krawtchouk):
         p, n, k = Fraction(spec.p), spec.n, spec.k
@@ -239,7 +264,7 @@ def normalization(spec):
             z *= Fraction(math.factorial(j), math.factorial(k - j))
         return z
     if isinstance(spec, Hahn):
-        return _hankel_det([_site_weight_exact(spec, x) for x in range(spec.n + 1)], spec.k)
+        return _hankel_det(spec, spec.k, spec.n)
     if isinstance(spec, Meixner):
         m, n, q = spec.m, spec.n, Fraction(spec.q)
         z = q ** (m * (m - 1) // 2) * (1 - q) ** (-m * n)
@@ -280,8 +305,7 @@ def pmf_exact(spec, x):
         h = _check_config(x)
         if len(h) != count or (h and h[0] > top):
             return Fraction(0)
-        num = Fraction(_delta_sq_exact(h)) * math.prod(_site_weight_exact(spec, t) for t in h)
-        return num / normalization(spec)
+        return _gas_mass(spec, h) / normalization(spec)
     raise TypeError(f"no exact pmf for {type(spec).__name__}")
 
 
@@ -327,7 +351,8 @@ def pmf(spec, x) -> float:
 
 
 def pmf_particles(spec, h: Sequence[int]) -> float:
-    """Coulomb-gas route: Delta(h)^2 prod w(h_j) / Z for h_i = lam_i + m - i.
+    """Coulomb-gas route: Delta(h)^2 prod w(h_j) / Z for h_i = lam_i + m - i,
+    exact up to `_rounded`.
 
     Implemented independently of `pmf` (which works in partition
     coordinates for Meixner and Charlier) so the two can be compared.
@@ -339,11 +364,7 @@ def pmf_particles(spec, h: Sequence[int]) -> float:
         raise TypeError(f"no particle-coordinate pmf for {type(spec).__name__}")
     if len(h) != spec.m:
         raise ValueError("need exactly m particles")
-    z = normalization(spec)
-    log_p = math.log(_delta_sq_exact(h)) - math.log(z.numerator) + math.log(z.denominator)
-    for x in h:
-        log_p += _log_site_weight(spec, x)
-    return math.exp(log_p)
+    return _rounded(spec, _gas_mass(spec, h) / normalization(spec))
 
 
 def word_shape_pmf(m: int, n: int, lam: Partition) -> Fraction:
@@ -409,71 +430,87 @@ class MultiplicativeFunctional:
 
 
 # ---------------------------------------------------------------------------
-# expectations by direct summation
+# expectations by Heine's identity
 
 
 _SHELL_CAP = 10000
 
 
-def _size_tail(spec, c: float, n: int) -> float:
-    """Bound on sum over |lam| > n of P(lam) c^l(lam), for c >= 1, from the
-    law of |lam|: Poisson(alpha) for the Poissonized Plancherel and Charlier
-    measures, NB(mn, 1 - q) for Meixner (the total of an m x n geometric
-    matrix).  The Poissonized bound uses l(lam) <= |lam|, the others
-    l(lam) <= m."""
-    if isinstance(spec, PoissonizedPlancherel):
-        return math.exp(spec.alpha * (c - 1.0)) * pdtrc(n, spec.alpha * c)
+def _tail(spec, c: float, n: int) -> float:
+    """T(n) of `expectation`.  Once the terms (c alpha)^i / (i!)^2 fall, their
+    sum over i > n is at most the first over 1 - c alpha / (n+2)^2; before
+    that, or past e^700, T(n) exceeds 1 and inf is returned."""
     if isinstance(spec, Charlier):
         return c**spec.m * pdtrc(n, spec.alpha)
-    return c**spec.m * nbdtrc(n, spec.m * spec.n, 1.0 - float(spec.q))
+    if isinstance(spec, Meixner):
+        return c**spec.m * nbdtrc(n, spec.m * spec.n, 1.0 - float(spec.q))
+    rho = c * spec.alpha / (n + 2) ** 2
+    log_first = (n + 1) * math.log(c * spec.alpha) - 2.0 * math.lgamma(n + 2)
+    if rho >= 1 or log_first > 700:
+        return math.inf
+    return math.exp(log_first) * (1.0 / (1.0 - rho) + 1.0 / c)
 
 
-def _finite_expectation(spec, g: MultiplicativeFunctional) -> Fraction:
-    """Exact E[g] over a Krawtchouk or Hahn ensemble of m particles h_i:
-    g = prod_i f(h_i - m + shift) times the empty-row factors f(shift - i),
-    m < i <= shift, summed over configurations by `_hankel_det`."""
-    top, m = _finite_support(spec)
-    tilt = [_site_weight_exact(spec, x) * Fraction(g.f(x - m + g.shift)) for x in range(top + 1)]
-    empty = math.prod(Fraction(g.f(g.shift - i)) for i in range(m + 1, g.shift + 1))
-    return _hankel_det(tilt, m) / normalization(spec) * empty
+def _gas_expectation(spec, g: MultiplicativeFunctional, count: int, top: int) -> Fraction:
+    """Exact E[g] over count particles on {0..top} (times e^alpha for Charlier
+    and Poissonized): `_hankel_det` of the weights tilted by
+    f(h_i - count + shift), over the normalizer (alpha^C(count, 2) for the
+    Poissonized measure), times the empty-row factors f(shift - i)."""
+    poissonized = isinstance(spec, PoissonizedPlancherel)
+    z = Fraction(spec.alpha) ** (count * (count - 1) // 2) if poissonized else normalization(spec)
+    empty = math.prod(_exact(g.f(g.shift - i)) for i in range(count + 1, g.shift + 1))
+    return _hankel_det(spec, count, top, lambda x: g.f(x - count + g.shift)) / z * empty
+
+
+def _rounded(spec, value: Fraction) -> float:
+    """float(value), times e^-alpha for Charlier and Poissonized: value / 2^k,
+    k = round(alpha / ln 2), is rounded once, so nothing overflows, and
+    e^(k ln 2 - alpha) adds a relative error of about alpha * 2e-16."""
+    if not isinstance(spec, (Charlier, PoissonizedPlancherel)):
+        return float(value)
+    k = round(spec.alpha / math.log(2))
+    return float(value / 2**k) * math.exp(k * math.log(2) - spec.alpha)
 
 
 def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
-    """E[g] by direct summation, or by Hankel determinants.
-
-    Plancherel sums over the partitions of n; Krawtchouk and Hahn return the
-    float of the exact `_finite_expectation`.  The Poissonized Plancherel,
-    Meixner and Charlier measures sum shell by shell over |lam| = 0, 1, ..., N
-    (at most m rows for the last two), with N the first size where
-    c^s T(N) < tol, c = max(g.bound, 1), s = max(g.shift, 0).  Since
+    """E[g]: Plancherel sums over the partitions of n; the Coulomb gases round
+    the exact `_gas_expectation` once, Krawtchouk and Hahn over their
+    support, Charlier and Meixner over sites 0..N+m-1 (lam_1 <= N), the
+    Poissonized Plancherel measure over N rows and sites 0..2N-1
+    (l(lam) <= N and lam_1 <= N).  N is the first cut-off where
+    c^s T(N) < tol, c = max(g.bound, 1), s = max(g.shift, 0).  As
     |g(lam)| <= c^(l(lam) + s), that bounds the neglected part, with
-    T(N) >= sum_{|lam| > N} P(lam) c^l(lam):
+    T(N) >= the c^l(lam)-weighted mass left out:
 
-    - Poissonized Plancherel: e^(alpha (c - 1)) P[Poisson(alpha c) > N];
     - Charlier: c^m P[Poisson(alpha) > N];
-    - Meixner: c^m P[NB(mn, 1 - q) > N].
+    - Meixner: c^m P[NB(mn, 1 - q) > N];
+    - Poissonized Plancherel: sum_{i>N} (c alpha)^i / (i!)^2
+      + c^N alpha^(N+1) / ((N+1)!)^2, from P(lam_1 >= i) <= alpha^i / (i!)^2
+      (Baik-Deift-Johansson, J. AMS 12, 1999), l(lam) having the law of lam_1.
 
-    Raises ConvergenceError past _SHELL_CAP shells.
+    An indicator gap with threshold at most N neglects nothing under Charlier
+    and Meixner, so it is exact up to the final rounding (`_rounded`: a
+    relative alpha * 2e-16 for Charlier).  Raises ConvergenceError when no
+    cut-off up to _SHELL_CAP meets tol.
     """
     if isinstance(spec, Plancherel):
         total = 0.0
         for lam in enumerate_partitions(spec.n):
             total += float(pmf_exact(spec, lam)) * g(lam)
         return total
-    if isinstance(spec, (PoissonizedPlancherel, Meixner, Charlier)):
-        rows = None if isinstance(spec, PoissonizedPlancherel) else spec.m
-        c = max(g.bound, 1.0)
-        weight = c ** max(g.shift, 0)
-        total = 0.0
-        for size in range(_SHELL_CAP + 1):
-            for lam in enumerate_partitions(size, max_length=rows):
-                total += pmf(spec, lam) * g(lam)
-            if weight * _size_tail(spec, c, size) < tol:
-                return total
-        raise ConvergenceError("ensemble sum failed to truncate")
     if isinstance(spec, (Krawtchouk, Hahn)):
-        return float(_finite_expectation(spec, g))
-    raise TypeError(f"no expectation for {type(spec).__name__}")
+        top, count = _finite_support(spec)
+        return _rounded(spec, _gas_expectation(spec, g, count, top))
+    if not isinstance(spec, (PoissonizedPlancherel, Meixner, Charlier)):
+        raise TypeError(f"no expectation for {type(spec).__name__}")
+    c = max(g.bound, 1.0)
+    weight = c ** max(g.shift, 0)
+    cut = next((n for n in range(_SHELL_CAP + 1) if weight * _tail(spec, c, n) < tol), None)
+    if cut is None:
+        raise ConvergenceError("ensemble sum failed to truncate")
+    if isinstance(spec, PoissonizedPlancherel):
+        return _rounded(spec, _gas_expectation(spec, g, cut, 2 * cut - 1))
+    return _rounded(spec, _gas_expectation(spec, g, spec.m, cut + spec.m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +529,8 @@ def coulomb_approx_F(alpha, m: int, g: MultiplicativeFunctional) -> Fraction:
     if m < 1:
         raise ValueError("m must be positive")
     cutoff = int(3.0 * math.sqrt(float(alpha))) + 6 * m + 25
-    weights = [Fraction(alpha) ** x / math.factorial(x) ** 2 for x in range(cutoff + 1)]
-    tilted = [w * Fraction(g.f(x + g.shift - m)) for x, w in enumerate(weights)]
-    return _hankel_det(tilted, m) / _hankel_det(weights, m)
+    gas, tilt = PoissonizedPlancherel(alpha), lambda x: g.f(x + g.shift - m)
+    return _hankel_det(gas, m, cutoff, tilt) / _hankel_det(gas, m, cutoff)
 
 
 def equilibrium_density(t: float, r: float) -> float:

@@ -25,7 +25,7 @@ from .ensembles import (
     Hahn,
     Krawtchouk,
     MultiplicativeFunctional,
-    _finite_expectation,
+    _gas_expectation,
     expectation,
     pmf_exact,
     word_shape_pmf,
@@ -149,11 +149,14 @@ def word_gap(m, t, *, n=None, alpha=None, tol=1e-8):
     rows and first part at most t.  With `alpha` set, the length is Poisson
     with mean alpha and the value is the float Charlier-ensemble gap
     probability (cross-checkable against the Fredholm-determinant route).
+    A threshold that is not a whole number raises ValueError.
     """
     if m < 1:
         raise ValueError("alphabet size must be at least 1")
     if (n is None) == (alpha is None):
         raise ValueError("specify exactly one of n (fixed length) or alpha")
+    if t != int(t):
+        raise ValueError(f"threshold {t!r} is not a whole number")
     t = int(t)
     if n is not None:
         n = int(n)
@@ -190,7 +193,7 @@ def percolation_gap(p, rows: int, cols: int, level: int) -> Fraction:
     L(W) is the maximum number of ones collected along a path taking one
     entry per row with weakly increasing column indices.  The value is the
     Krawtchouk gap probability for cols particles on {0..cols+rows-1}: the
-    largest particle stays at or below level + cols - 1 (`_finite_expectation`
+    largest particle stays at or below level + cols - 1 (`_gas_expectation`
     of `indicator_gap(level)`).  A rational p gives the exact value; a float
     p is read as the rational it stores.
     """
@@ -208,8 +211,8 @@ def percolation_gap(p, rows: int, cols: int, level: int) -> Fraction:
             f"exact summation is capped at support size {_KRAWTCHOUK_SUPPORT_CAP}; "
             "use the Monte Carlo sampler for larger matrices"
         )
-    return _finite_expectation(
-        Krawtchouk(n=cols, k=top, p=p), MultiplicativeFunctional.indicator_gap(level)
+    return _gas_expectation(
+        Krawtchouk(n=cols, k=top, p=p), MultiplicativeFunctional.indicator_gap(level), cols, top
     )
 
 

@@ -5,6 +5,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from dope import ensembles
@@ -111,6 +113,22 @@ def test_krawtchouk_closed_form_normalization_sums_to_one(spec):
 def test_hahn_sums_to_one(spec):
     total = sum(pmf_exact(spec, h) for h in configurations(spec))
     assert total == 1
+
+
+def test_normalization_is_computed_once_per_spec(monkeypatch):
+    # a law summed over its 3,432 configurations pays for one normalizer
+    calls = []
+    hankel_det = ensembles._hankel_det
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hankel_det(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "_hankel_det", counted)
+    normalization.cache_clear()
+    spec = Hahn.hexagon(7, 7)
+    assert sum(pmf_exact(spec, h) for h in configurations(spec)) == 1
+    assert len(calls) == 1
 
 
 def test_particle_configurations_must_strictly_decrease():
@@ -232,6 +250,37 @@ def test_expectation_caps_raise_convergence_error(monkeypatch):
         expectation(Charlier(m=2, alpha=10.0), ONE)
     with pytest.raises(ConvergenceError):
         expectation(PoissonizedPlancherel(10.0), ONE)
+
+
+@pytest.mark.parametrize(
+    "alpha,m,n,expected",
+    [(163.2, 21, 2, 1.34240960966878e-55), (286.5, 19, 3, 8.32326398791474e-96)],
+)
+def test_charlier_deep_tail_matches_the_configuration_sum(alpha, m, n, expected):
+    # lam_1 <= n puts the m particles h_i = lam_i + m - i on {0..n+m-1}:
+    # 253 and 1,540 configurations of Delta(h)^2 prod e^-a a^h / h! over
+    # a^(m(m-1)/2) prod_{j<m} j!, summed in 40 digits
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha) / m
+        z = a ** (m * (m - 1) // 2) * mpmath.fprod(mpmath.factorial(j) for j in range(m))
+        oracle = mpmath.fsum(
+            math.prod((x - y) ** 2 for x, y in itertools.combinations(h, 2))
+            * mpmath.fprod(a**x / mpmath.factorial(x) for x in h)
+            for h in itertools.combinations(range(n + m), m)
+        ) * mpmath.exp(-alpha) / z
+    assert float(oracle) == pytest.approx(expected, rel=1e-13)
+    value = expectation(Charlier(m, alpha), MultiplicativeFunctional.indicator_gap(n))
+    assert value == pytest.approx(float(oracle), rel=1e-12)
+
+
+def test_expectation_reads_a_numpy_float32_generator():
+    # a value that is not a Python rational is summed as the float it stores
+    def half(v):
+        return MultiplicativeFunctional(lambda s: v if s >= 0 else 1.0)
+
+    spec = Charlier(2, 3.0)
+    value = expectation(spec, half(np.float32(0.5)))
+    assert value == expectation(spec, half(0.5)) == pytest.approx(0.49952256)
 
 
 def test_charlier_normalization_with_many_particles():

@@ -255,6 +255,13 @@ def test_word_gap_exact_matches_brute_force():
         assert word_gap(m, t, n=n) == Fraction(count, m**n)
 
 
+@pytest.mark.parametrize("t,length", [(2.9, {"n": 4}), (19.5, {"alpha": 40.0})])
+def test_word_gap_rejects_a_threshold_that_is_not_whole(t, length):
+    # int(t) would answer for t = 2 and t = 19
+    with pytest.raises(ValueError, match="whole"):
+        word_gap(3 if "alpha" in length else 2, t, **length)
+
+
 def test_word_gap_argument_validation():
     with pytest.raises(ValueError):
         word_gap(2, 1)
@@ -267,8 +274,11 @@ def test_word_gap_argument_validation():
 
 
 # at (3, 40.0, 20) the short words carry no mass, and a sum that stopped
-# on them gave 1.66e-10 against 0.630071151294
-@pytest.mark.parametrize("m,alpha,t", [(3, 1.0, 2), (2, 0.7, 1), (3, 40.0, 20)])
+# on them gave 1.66e-10 against 0.630071151294; (5, 40.0, 20) and
+# (4, 100.0, 30) took 5.5 s and 19.7 s summed partition by partition
+@pytest.mark.parametrize(
+    "m,alpha,t", [(3, 1.0, 2), (2, 0.7, 1), (3, 40.0, 20), (5, 40.0, 20), (4, 100.0, 30)]
+)
 def test_word_gap_poissonized_agrees_with_determinant_route(m, alpha, t):
     direct = word_gap(m, t, alpha=alpha)
     det = fredholm.charlier_expectation_det(

@@ -436,19 +436,27 @@ class MultiplicativeFunctional:
 _SHELL_CAP = 10000
 
 
-def _tail(spec, c: float, n: int) -> float:
-    """T(n) of `expectation`.  Once the terms (c alpha)^i / (i!)^2 fall, their
-    sum over i > n is at most the first over 1 - c alpha / (n+2)^2; before
-    that, or past e^700, T(n) exceeds 1 and inf is returned."""
+def _log_tail(spec, c: float, n: int) -> float:
+    """log T(n) of `expectation`.  Once the terms of a tail fall, their sum
+    past n is at most the first over 1 - the ratio of the next to it: the
+    Poissonized (c alpha)^i / (i!)^2 always, the Charlier and Meixner size
+    laws where `pdtrc` or `nbdtrc` underflow to 0.  Before that, inf."""
+    if isinstance(spec, PoissonizedPlancherel):
+        rho = c * spec.alpha / (n + 2) ** 2
+        log_first = (n + 1) * math.log(c * spec.alpha) - 2.0 * math.lgamma(n + 2)
+        return log_first + math.log(1.0 / (1.0 - rho) + 1.0 / c) if rho < 1 else math.inf
     if isinstance(spec, Charlier):
-        return c**spec.m * pdtrc(n, spec.alpha)
-    if isinstance(spec, Meixner):
-        return c**spec.m * nbdtrc(n, spec.m * spec.n, 1.0 - float(spec.q))
-    rho = c * spec.alpha / (n + 2) ** 2
-    log_first = (n + 1) * math.log(c * spec.alpha) - 2.0 * math.lgamma(n + 2)
-    if rho >= 1 or log_first > 700:
-        return math.inf
-    return math.exp(log_first) * (1.0 / (1.0 - rho) + 1.0 / c)
+        tail = pdtrc(n, spec.alpha)
+        rho = spec.alpha / (n + 2)
+        log_first = (n + 1) * math.log(spec.alpha) - spec.alpha - math.lgamma(n + 2)
+    else:
+        r, q = spec.m * spec.n, float(spec.q)
+        tail = nbdtrc(n, r, 1.0 - q)
+        rho = (n + 1 + r) * q / (n + 2)
+        log_first = log_binomial(n + r, n + 1) + (n + 1) * math.log(q) + r * math.log1p(-q)
+    if tail > 0:
+        return spec.m * math.log(c) + math.log(tail)
+    return spec.m * math.log(c) + log_first - math.log1p(-rho) if rho < 1 else math.inf
 
 
 def _gas_expectation(spec, g: MultiplicativeFunctional, count: int, top: int) -> Fraction:
@@ -478,7 +486,8 @@ def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
     support, Charlier and Meixner over sites 0..N+m-1 (lam_1 <= N), the
     Poissonized Plancherel measure over N rows and sites 0..2N-1
     (l(lam) <= N and lam_1 <= N).  N is the first cut-off where
-    c^s T(N) < tol, c = max(g.bound, 1), s = max(g.shift, 0).  As
+    c^s T(N) < tol, c = max(g.bound, 1), s = max(g.shift, 0), compared in
+    logs so that no power of c overflows.  As
     |g(lam)| <= c^(l(lam) + s), that bounds the neglected part, with
     T(N) >= the c^l(lam)-weighted mass left out:
 
@@ -504,8 +513,10 @@ def expectation(spec, g: MultiplicativeFunctional, tol: float = 1e-10) -> float:
     if not isinstance(spec, (PoissonizedPlancherel, Meixner, Charlier)):
         raise TypeError(f"no expectation for {type(spec).__name__}")
     c = max(g.bound, 1.0)
-    weight = c ** max(g.shift, 0)
-    cut = next((n for n in range(_SHELL_CAP + 1) if weight * _tail(spec, c, n) < tol), None)
+    log_weight, log_tol = max(g.shift, 0) * math.log(c), math.log(tol)
+    cut = next(
+        (n for n in range(_SHELL_CAP + 1) if log_weight + _log_tail(spec, c, n) < log_tol), None
+    )
     if cut is None:
         raise ConvergenceError("ensemble sum failed to truncate")
     if isinstance(spec, PoissonizedPlancherel):

@@ -3,12 +3,10 @@
 Two settings share the same truncate-and-certify pattern:
 
 * lattice operators K(x, y) phi(y) on the naturals.  One routine serves
-  every lattice kernel: it truncates at the first point where the kernel's
-  ``diag_tail`` certifies the neglected trace, takes the kernel matrix from
-  ``kernel.matrix`` and its determinant from LAPACK.  ``det_discrete``
-  (Bessel) and ``charlier_expectation_det`` pass only the kernel's origin;
-  the shift comes from the functional.  The Bessel joint law reuses the
-  truncation search;
+  every lattice kernel, reading its origin, search start and empty rows
+  from the kernel: it truncates where ``diag_tail`` certifies the neglected
+  trace and takes det of ``kernel.matrix`` from LAPACK; the shift comes
+  from the functional.  The Bessel joint law reuses the truncation search;
 * integral operators on a half line (t, infinity), discretized by a
   Nystrom rule after the rational substitution s = t + c (1 + u)/(1 - u)
   and symmetrized as det(I - W^{1/2} K W^{1/2}), with the kernel in its
@@ -112,21 +110,21 @@ def _truncation_point(kernel, shift: int, start: int, goal: float):
     raise ConvergenceError("diagonal tail did not fall below the tolerance")
 
 
-def _lattice_det(kernel, phi, origin: int, tol: float):
+def _lattice_det(kernel, phi, tol: float):
     """det(I + K_phi) over the sites y >= 0, K_phi(x, y) = K(x + s, y + s)
     phi(y) with s = origin - phi.shift, so that a particle at h stands for
-    the site h - s.  On the naturals the sites with y + s < 0 hold no
-    particle and are left out.  The lattice is truncated at the first X
+    the site h - s.  On the naturals the sites y + s < 0 are empty rows: no
+    particle, a factor f(y) each.  The lattice is truncated at the first X
     where tailTrace, the diagonal tail times 1 + sup|f|, drops below tol.
     The process restricted to h <= X has the restricted kernel, so det_trunc
     is E prod_{h <= X} f(h): when sup|f| <= 1 it differs from det only if a
     particle lies above X, by at most 1 + sup|f|, and tailTrace bounds the
     error; otherwise tailTrace * exp(totalTrace + tailTrace) does.
     """
-    shift = origin - phi.shift
+    shift = kernel._origin - phi.shift
     lowest = max(0, -shift)
     first = lowest if kernel.domain == "naturals" else 0
-    start = lowest + int(math.ceil(2.0 * math.sqrt(kernel.alpha))) + 8
+    start = lowest + int(math.ceil(2.0 * kernel._cd_const)) + 8
     norm = phi.bound + 1.0
     cutoff, tail = _truncation_point(kernel, shift, start, tol / max(norm, 1.0))
     points = [y for y in range(first, cutoff + 1) if phi.phi(y) != 0.0]
@@ -139,43 +137,44 @@ def _lattice_det(kernel, phi, origin: int, tol: float):
         bound *= math.exp(total_trace + tail_trace)
     # with no points the matrix is 0 x 0 and its determinant 1
     value = float(np.linalg.det(np.eye(len(points)) + kmat * weights))
-    return FredholmResult(value, len(points), bound, bound < tol)
+    empty = math.prod(phi.f(y) for y in reversed(range(first)))
+    bound = abs(empty) * bound
+    return FredholmResult(empty * value, len(points), bound, bound < tol)
 
 
 def det_discrete(
     kernel, phi: MultiplicativeFunctional, tol: float = 1e-10
 ) -> FredholmResult:
-    """det(I + K_phi) on l2(N) with K_phi(x, y) = K(x - L, y - L) phi(y),
-    where the shift L is ``phi.shift``.
+    """det(I + K_phi) on l2(N), K_phi(x, y) = K(x + s, y + s) phi(y), for
+    a lattice kernel with a ``diag_tail``: Bessel (origin 0, particles
+    lam_i - i) or a rank-m Charlier or Meixner kernel (origin m, particles
+    lam_i + m - i); s = origin - L with L = ``phi.shift``.
 
-    This is the expectation of prod_i f(lam_i + L - i) under the point
-    process with correlation kernel K (particles lam_i - i).  The lattice
-    is truncated where tailTrace, the diagonal tail sum times 1 + sup|f|,
-    drops below tol; tailTrace certifies the neglected part when
-    sup|f| <= 1, and tailTrace * exp(totalTrace + tailTrace) otherwise.
+    This is the expectation of prod_i f(lam_i + L - i).  The empty rows
+    m < i <= L of a rank-m kernel give factors f(L - i), which multiply the
+    value and its certificate.  The search starts 2 a_m + 8 sites above the
+    lowest site, a_m the Christoffel-Darboux constant (sqrt(alpha) for
+    Bessel and Charlier), and truncates where tailTrace, the diagonal tail
+    sum times 1 + sup|f|, drops below tol; tailTrace certifies the neglected
+    part when sup|f| <= 1, and tailTrace * exp(totalTrace + tailTrace)
+    otherwise.
 
-    Relative error of F = P[lam_1 <= n] at alpha = 400, against Gessel's
-    Toeplitz determinant: 1e-12 at F = 0.97, 1e-11 at 8.8e-3, 1e-8 at 1.2e-17,
-    1e-5 at 5.8e-31; none below F ~ 1e-40 (1.1e3 at n = 8, F = 8.1e-79).
+    Bessel, relative error of F = P[lam_1 <= n] at alpha = 400 against
+    Gessel's Toeplitz determinant: 1e-12 at F = 0.97, 1e-11 at 8.8e-3, 1e-8
+    at 1.2e-17, 1e-5 at 5.8e-31; none below F ~ 1e-40 (1.1e3 at n = 8, F = 8.1e-79).
     """
-    if not isinstance(kernel, kernels.Bessel):
-        raise TypeError("det_discrete expects the discrete Bessel kernel")
-    return _lattice_det(kernel, phi, 0, tol)
+    if not hasattr(kernel, "diag_tail"):
+        raise TypeError("det_discrete expects a lattice kernel with a diagonal tail")
+    return _lattice_det(kernel, phi, tol)
 
 
 def charlier_expectation_det(
     alpha: float, m: int, phi: MultiplicativeFunctional, tol: float = 1e-10
 ) -> FredholmResult:
-    """The same expectation over the Charlier ensemble with m rows,
-    prod_i f(lam_i + L - i) with L = ``phi.shift``, computed with the
-    rank-m Charlier kernel (particles lam_i + m - i): entries
-    delta + K(x + m - L, y + m - L) phi(y) over y >= max(0, L - m).  The
-    rows m < i <= L are empty, and their factors f(L - i) multiply the
-    determinant and its certificate."""
-    det = _lattice_det(kernels.CharlierKernel(m, alpha), phi, m, tol)
-    empty = math.prod(phi.f(phi.shift - i) for i in range(m + 1, phi.shift + 1))
-    bound = abs(empty) * det.tail_estimate
-    return FredholmResult(empty * det.value, det.truncation_size, bound, bound < tol)
+    """``det_discrete`` on the rank-m Charlier kernel: the expectation of
+    prod_i f(lam_i + L - i), L = ``phi.shift``, over the Charlier ensemble
+    with m rows."""
+    return _lattice_det(kernels.CharlierKernel(m, alpha), phi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def _joint_discrete(kernel: kernels.Bessel, sys: IntervalSystem, tol: float):
     k = sys.k
     floor = int(math.floor(a[-1]))
     goal = tol / (2.0 * k + 1.0)
-    start = int(math.ceil(a[0] + 2.0 * math.sqrt(kernel.alpha))) + 8
+    start = int(math.ceil(a[0] + 2.0 * kernel._cd_const)) + 8
     cutoff, _ = _truncation_point(kernel, 0, start, goal)
     points = [y for y in range(floor + 1, cutoff + 1) if sys.interval_index(y)]
     labels = [sys.interval_index(y) - 1 for y in points]

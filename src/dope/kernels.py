@@ -193,6 +193,7 @@ class Bessel(_ChristoffelDarboux):
 
     alpha: float
     domain = "integers"
+    _origin = 0
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -223,7 +224,8 @@ class _LatticeProjection(_ChristoffelDarboux):
 
     A subclass supplies ``m``, ``_log_weight``, the recurrence coefficients
     ``_a_fn`` and ``_b_fn``, and ``_crest``.  The Christoffel-Darboux
-    constant is a_m and the diagonal is the projection sum.
+    constant is a_m, the diagonal is the projection sum, and the particles
+    lam_i + m - i have origin m.
 
     The orthonormal functions phi_n(x) are exponentially small when x lies
     far below the oscillatory band of degree n, and there the upward degree
@@ -240,6 +242,10 @@ class _LatticeProjection(_ChristoffelDarboux):
     @property
     def _cd_const(self) -> float:
         return self._a_fn(self.m)
+
+    @property
+    def _origin(self) -> int:
+        return self.m
 
     def _upward(self, x: int, count: int):
         return _weighted_recurrence(float(x), count, self._log_weight(x), self._a_fn, self._b_fn)

@@ -39,6 +39,7 @@ from dope.kernels import (
     Bessel,
     CharlierKernel,
     DiscreteSineKernel,
+    MeixnerKernel,
     bessel_diag_tail,
     bessel_series,
     bulk_scaled,
@@ -515,3 +516,36 @@ def test_criterion_14_geometric_rsk_chi_square():
         f"{result.dof} dof, p = {result.pvalue:.4f} > 0.001; {elapsed:.1f} s"
     )
     assert result.pvalue > 0.001, result
+
+
+def test_criterion_15_growth_model_edge_limit():
+    """Geometric last-passage percolation: G(N, N) of an N x N matrix of
+    geometric weights P(w = j) = (1 - q) q^j is the top row of the Meixner
+    ensemble with m = n = N, a gap of the rank-N Meixner kernel.  At
+    q = 1/4, sup_l |P(G(N, N) <= l) - F((l - omega N) / (sigma N^(1/3)))|
+    over the thresholds of the t-grid -4, -3.5, ..., 3 falls over N = 16,
+    64, 256, with Johansson's omega = 2 sqrt(q) / (1 - sqrt(q)) and
+    sigma = q^(1/6) (1 + sqrt(q))^(4/3) / (1 - q) (CMP 209, 2000)."""
+    start = time.monotonic()
+    q = 0.25
+    rq = math.sqrt(q)
+    omega = 2.0 * rq / (1.0 - rq)
+    sigma = q ** (1.0 / 6.0) * (1.0 + rq) ** (4.0 / 3.0) / (1.0 - q)
+    grid = [-4.0 + 0.5 * i for i in range(15)]
+    sups = []
+    for n in (16, 64, 256):
+        kernel = MeixnerKernel(q, 1, n)
+        center, scale = omega * n, sigma * n ** (1.0 / 3.0)
+        worst = 0.0
+        for level in sorted({math.floor(center + t * scale) for t in grid}):
+            gap = det_discrete(kernel, MultiplicativeFunctional.indicator_gap(level))
+            assert gap.converged, (n, level)
+            worst = max(worst, abs(gap.value - tracy_widom((level - center) / scale)))
+        sups.append(worst)
+    assert sups[0] > sups[1] > sups[2], sups
+    elapsed = time.monotonic() - start
+    print(
+        "criterion 15: sup |P(G <= l) - F| "
+        + " > ".join(f"{d:.3e}" for d in sups)
+        + f" at N = 16, 64, 256; {elapsed:.1f} s"
+    )

@@ -244,6 +244,15 @@ def test_expectation_tail_carries_the_bound_per_row(alpha):
     assert abs(value - (2.0 - math.exp(-alpha))) <= tol
 
 
+@pytest.mark.parametrize("spec", [Charlier(2, 5.0), Meixner(2, 3, 0.5)])
+def test_expectation_keeps_a_large_shift_bound_in_logs(spec):
+    # the only non-unit factor is the empty row i = 1097 at site 3, so
+    # E[g] = 2; the cut-off needs c^shift T(N) = 2^1100 T(N) < tol, far
+    # past the N where pdtrc and nbdtrc underflow
+    g = MultiplicativeFunctional(lambda s: 2.0 if s == 3 else 1.0, shift=1100, bound=2.0)
+    assert expectation(spec, g) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_expectation_caps_raise_convergence_error(monkeypatch):
     monkeypatch.setattr(ensembles, "_SHELL_CAP", 3)
     with pytest.raises(ConvergenceError):

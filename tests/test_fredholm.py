@@ -8,6 +8,7 @@ import pytest
 
 from dope.ensembles import (
     Charlier,
+    Meixner,
     MultiplicativeFunctional,
     PoissonizedPlancherel,
     expectation,
@@ -22,7 +23,14 @@ from dope.fredholm import (
     joint_rows,
     tracy_widom,
 )
-from dope.kernels import AiryKernel, Bessel, CharlierKernel, HermiteKernel
+from dope.kernels import (
+    AiryKernel,
+    Bessel,
+    CharlierKernel,
+    DiscreteSineKernel,
+    HermiteKernel,
+    MeixnerKernel,
+)
 from dope.models import word_gap
 
 
@@ -131,9 +139,53 @@ def test_charlier_det_includes_the_empty_rows():
     assert det.value == pytest.approx(direct, abs=1e-9)
 
 
-def test_det_discrete_requires_the_bessel_kernel():
+@pytest.mark.parametrize("kernel", [AiryKernel(), DiscreteSineKernel(0.5)], ids=["airy", "sine"])
+def test_det_discrete_requires_a_lattice_kernel_with_a_diagonal_tail(kernel):
     with pytest.raises(TypeError):
-        det_discrete(CharlierKernel(3, 1.0), MultiplicativeFunctional.indicator_gap(1))
+        det_discrete(kernel, MultiplicativeFunctional.indicator_gap(1))
+
+
+@pytest.mark.parametrize(
+    "m,alpha,g",
+    [
+        (3, 1.0, MultiplicativeFunctional.indicator_gap(2)),
+        (20, 200.0, MultiplicativeFunctional.indicator_gap(44)),
+        (4, 9.0, MultiplicativeFunctional.indicator_gap(5, shift=2)),
+        # shift 7 > m = 3: the empty rows give f(3) f(2) f(1) f(0) = 1/2
+        (3, 1.0, MultiplicativeFunctional(lambda s: 0.5 if s == 1 else 1.0, shift=7)),
+    ],
+)
+def test_det_discrete_on_the_charlier_kernel_is_the_charlier_determinant(m, alpha, g):
+    assert det_discrete(CharlierKernel(m, alpha), g) == charlier_expectation_det(alpha, m, g)
+
+
+def _meixner_functionals(m):
+    """Gaps, shifted gaps, a bound above 1, and shifts past m whose empty
+    rows carry factors other than 1."""
+    return [
+        MultiplicativeFunctional.indicator_gap(2),
+        MultiplicativeFunctional.indicator_gap(5),
+        MultiplicativeFunctional.indicator_gap(3, shift=1),
+        MultiplicativeFunctional(lambda s: 1.5 if s == 2 else 1.0, bound=1.5),
+        MultiplicativeFunctional(lambda s: 0.5 if s == 1 else 1.0, shift=m + 3),
+        MultiplicativeFunctional(
+            lambda s: 0.7 if s >= 0 and s % 2 == 0 else 1.0, shift=m + 2
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "m,n,q", [(1, 1, 0.5), (1, 3, 0.3), (2, 2, 0.5), (2, 5, 0.4), (3, 4, 0.25), (3, 6, 0.6)]
+)
+def test_det_discrete_on_the_meixner_kernel_matches_the_heine_sum(m, n, q):
+    # the Meixner ensemble with m rows and n columns has the rank-m kernel
+    # with k = n - m + 1; six functionals per ensemble, 36 cases in all
+    kernel = MeixnerKernel(q, n - m + 1, m)
+    for g in _meixner_functionals(m):
+        det = det_discrete(kernel, g)
+        heine = expectation(Meixner(m, n, q), g, tol=1e-13)
+        assert det.converged
+        assert abs(det.value - heine) <= det.tail_estimate, (g.shift, heine)
 
 
 def test_result_certificate_fields():

@@ -6,7 +6,8 @@ Two settings share the same truncate-and-certify pattern:
   every lattice kernel, reading its origin, search start and empty rows
   from the kernel: it truncates where ``diag_tail`` certifies the neglected
   trace and takes det of ``kernel.matrix`` from LAPACK; the shift comes
-  from the functional.  The Bessel joint law reuses the truncation search;
+  from the functional.  The Bessel joint law starts the same truncation
+  search at the same site;
 * integral operators on a half line (t, infinity), discretized by a
   Nystrom rule after the rational substitution s = t + c (1 + u)/(1 - u)
   and symmetrized as det(I - W^{1/2} K W^{1/2}), with the kernel in its
@@ -14,18 +15,18 @@ Two settings share the same truncate-and-certify pattern:
 
 On top of the determinants sit the distribution of the largest particle
 (the Tracy-Widom law for the Airy kernel) and the joint law of the first
-k particles, recovered from a generating determinant D(z) by extracting
-low-order mixed derivatives at z = (-1, ..., -1).
+k particles, a sum of Janossy densities det(I - K) det M_SS with
+M = (I - K)^{-1} K from one LU factorization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import lu_factor, lu_solve
 
 from . import kernels
 from .ensembles import MultiplicativeFunctional
@@ -67,15 +68,16 @@ class IntervalSystem:
     def k(self) -> int:
         return len(self.thresholds)
 
+    def labels(self, points) -> np.ndarray:
+        """The number of thresholds at or above each point: j - 1 for a
+        point in I_j, k for a point at or below a_k."""
+        a = np.array(self.thresholds)
+        return np.count_nonzero(a[None, :] >= np.asarray(points, dtype=float)[:, None], axis=1)
+
     def interval_index(self, x: float):
         """1-based index of the interval containing x, None if x <= a_k."""
-        a = self.thresholds
-        if x > a[0]:
-            return 1
-        for j in range(1, len(a)):
-            if a[j] < x <= a[j - 1]:
-                return j + 1
-        return None
+        label = int(self.labels([x])[0])
+        return label + 1 if label < self.k else None
 
 
 def admissible_counts(k: int):
@@ -127,8 +129,10 @@ def _lattice_det(kernel, phi, tol: float):
     start = lowest + int(math.ceil(2.0 * kernel._cd_const)) + 8
     norm = phi.bound + 1.0
     cutoff, tail = _truncation_point(kernel, shift, start, tol / max(norm, 1.0))
-    points = [y for y in range(first, cutoff + 1) if phi.phi(y) != 0.0]
-    weights = np.array([phi.phi(y) for y in points], dtype=float)
+    sites = range(first, cutoff + 1)
+    values = [phi.phi(y) for y in sites]
+    points = [y for y, w in zip(sites, values) if w != 0.0]
+    weights = np.array([w for w in values if w != 0.0], dtype=float)
     kmat = kernel.matrix([y + shift for y in points])
     tail_trace = tail * norm
     bound = tail_trace
@@ -244,68 +248,84 @@ def tracy_widom(t: float, tol: float = 1e-8) -> float:
 # Joint law of the first k particles
 
 
-def _coefficient_weights(degree: int) -> np.ndarray:
-    """Rows r of the matrix mapping values at Chebyshev points of [-2, 0]
-    to the monomial coefficients of the interpolant around z = -1."""
-    i = np.arange(degree + 1)
-    t_nodes = np.cos(np.pi * i / degree)
-    vand = np.vander(t_nodes, degree + 1, increasing=True)
-    return np.linalg.inv(vand), t_nodes
+def _truncated_product(p: dict, q: dict, degree: int) -> dict:
+    """Product of two polynomials {exponent tuple: coefficient}, keeping the
+    monomials of total degree at most ``degree``."""
+    out = {}
+    for ep, cp in p.items():
+        for eq, cq in q.items():
+            e = tuple(a + b for a, b in zip(ep, eq))
+            if sum(e) <= degree:
+                out[e] = out.get(e, 0.0) + cp * cq
+    return out
 
 
-def _joint_from_grid(det_at, k: int) -> float:
-    """Sum the admissible monomial coefficients of D(-1 + t_1, ...).
+def _janossy_sum(m: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """sum_S det M_SS over the sets S the thresholds admit, for M on the
+    sites below a_1 labelled 1, ..., k - 1 by interval.
 
-    det_at(z) evaluates the generating determinant at a point z in
-    [-2, 0]^k.  The per-variable interpolation degree k + 2 exceeds the
-    needed derivative orders (at most k - 1) by a safety margin.
+    det(I + M T), T the diagonal with t_j on the sites labelled j, is the
+    generating function of the Janossy sums; its coefficients of total
+    degree below k are those of exp(sum_{p<k} (-1)^(p+1) tr((M T)^p) / p),
+    and the admissible ones are summed.  For k = 2 this is 1 + tr M.
     """
-    degree = k + 2
-    inv, t_nodes = _coefficient_weights(degree)
-    grid_shape = (degree + 1,) * k
-    values = np.empty(grid_shape)
-    for idx in product(range(degree + 1), repeat=k):
-        z = tuple(-1.0 + t_nodes[i] for i in idx)
-        values[idx] = det_at(z)
-    coeff = values
-    for axis in range(k):
-        coeff = np.tensordot(inv, np.moveaxis(coeff, axis, 0), axes=(1, 0))
-        coeff = np.moveaxis(coeff, 0, axis)
-    return float(sum(coeff[n] for n in admissible_counts(k)))
+    v = k - 1
+    zero = (0,) * v
+    # block[i][j] is M on interval i + 2 times interval j + 2; a product
+    # along j_1, ..., j_p closes into tr(M_{j1 j2} ... M_{jp j1})
+    rows = [np.nonzero(labels == j + 1)[0] for j in range(v)]
+    block = [[m[np.ix_(r, c)] for c in rows] for r in rows]
+    log = {}
+    level = {(j,): np.eye(len(rows[j])) for j in range(v)}
+    for p in range(1, k):
+        if p > 1:
+            level = {
+                seq + (j,): prod @ block[seq[-1]][j] for seq, prod in level.items() for j in range(v)
+            }
+        for seq, prod in level.items():
+            e = tuple(seq.count(j) for j in range(v))
+            trace = float(np.sum(prod * block[seq[-1]][seq[0]].T))
+            log[e] = log.get(e, 0.0) + (-1) ** (p + 1) * trace / p
+    total, power = {zero: 1.0}, {zero: 1.0}
+    for q in range(1, k):
+        power = _truncated_product(power, log, v)
+        for e, c in power.items():
+            total[e] = total.get(e, 0.0) + c / math.factorial(q)
+    return math.fsum(total.get(n[1:], 0.0) for n in admissible_counts(k))
 
 
-def _joint_from_matrix(base: np.ndarray, labels, k: int) -> float:
-    """Joint law from the operator matrix ``base`` on points labelled by
-    their interval: D(z) = det(I + base diag(z_label))."""
-    eye = np.eye(len(labels))
-
-    def det_at(z):
-        zeta = np.array([z[j] for j in labels])
-        return float(np.linalg.det(eye + base * zeta[None, :]))
-
-    return _joint_from_grid(det_at, k)
+def _joint_from_matrix(base: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """The joint law for the operator matrix ``base`` = K on points labelled
+    0, ..., k - 1 by interval: det(I - K) times the Janossy sum of
+    M = (I - K)^{-1} K, from one LU of I - K.  Only the columns of M on the
+    points below a_1 are solved for; a determinant that is 0 in floating
+    point gives 0."""
+    n = len(labels)
+    lu, piv = lu_factor(np.eye(n) - base, check_finite=False)
+    det = float(np.prod(np.diag(lu)))
+    if np.count_nonzero(piv != np.arange(n)) % 2:
+        det = -det
+    below = np.nonzero(labels > 0)[0]
+    if det == 0.0 or len(below) == 0:
+        return det
+    m = lu_solve((lu, piv), base[:, below], check_finite=False)[below]
+    return det * _janossy_sum(m, labels[below], k)
 
 
 def _joint_discrete(kernel: kernels.Bessel, sys: IntervalSystem, tol: float):
     a = sys.thresholds
-    k = sys.k
-    floor = int(math.floor(a[-1]))
-    goal = tol / (2.0 * k + 1.0)
-    start = int(math.ceil(a[0] + 2.0 * kernel._cd_const)) + 8
+    goal = tol / (2.0 * sys.k + 1.0)
+    start = int(math.ceil(2.0 * kernel._cd_const)) + 8
     cutoff, _ = _truncation_point(kernel, 0, start, goal)
-    points = [y for y in range(floor + 1, cutoff + 1) if sys.interval_index(y)]
-    labels = [sys.interval_index(y) - 1 for y in points]
-    return _joint_from_matrix(kernel.matrix(points), labels, k)
+    points = np.arange(int(math.floor(a[-1])) + 1, cutoff + 1)
+    return _joint_from_matrix(kernel.matrix(points), sys.labels(points), sys.k)
 
 
 def _joint_airy_nodes(sys: IntervalSystem, n: int):
-    """Nodes, weights and interval labels covering (a_k, inf)."""
+    """Nodes and weights covering (a_k, inf), n on each interval."""
     a = sys.thresholds
-    s_all, w_all, labels = [], [], []
     s, w = _halfline_nodes(a[0], n)
-    s_all.append(s)
-    w_all.append(w)
-    labels += [0] * len(s)
+    s_all, w_all = [s], [w]
     u0, w0 = leggauss(n)
     for j in range(1, len(a)):
         lo, hi = a[j], a[j - 1]
@@ -314,26 +334,35 @@ def _joint_airy_nodes(sys: IntervalSystem, n: int):
         half = 0.5 * (hi - lo)
         s_all.append(0.5 * (hi + lo) + half * u0)
         w_all.append(half * w0)
-        labels += [j] * n
-    return np.concatenate(s_all), np.concatenate(w_all), np.array(labels)
+    return np.concatenate(s_all), np.concatenate(w_all)
 
 
 def _joint_airy_value(kernel, sys: IntervalSystem, n: int) -> float:
-    s, w, labels = _joint_airy_nodes(sys, n)
+    s, w = _joint_airy_nodes(sys, n)
     root = np.sqrt(w)
     weighted = _edge_kernel_on_nodes(kernel, s) * np.outer(root, root)
-    return _joint_from_matrix(weighted, labels, sys.k)
+    return _joint_from_matrix(weighted, sys.labels(s), sys.k)
 
 
 def joint_rows(kernel, sys: IntervalSystem, tol: float = 1e-8) -> float:
     """P[x^(1) <= a_1, ..., x^(k) <= a_k] for the ordered particles of the
     determinantal process with the given kernel.
 
-    The value is the sum over admissible count vectors n of
-    (1 / prod n_j!) d^n/dz^n det(I + sum_j z_j K chi_{I_j}) at z = -1,
-    with derivatives extracted by low-order polynomial interpolation.
+    With N_j the particle count in I_1 = (a_1, inf) and
+    I_j = (a_j, a_{j-1}], the event is N_1 + ... + N_r <= r - 1 for every r.
+    Its probability is a sum of Janossy densities (Borodin-Soshnikov,
+    J. Stat. Phys. 2003): det(I - K) sum_S det M_SS with M = (I - K)^{-1} K,
+    S over the sets of sites below a_1 that the thresholds admit, from one
+    LU factorization of I - K on (a_k, inf).  For k = 2 the sum is
+    1 + tr M on I_2, Jacobi's formula.
+
     For the Bessel kernel the particles are lam_i - i of the Poissonized
-    measure; for the Airy kernel this is the joint edge law.
+    measure, on the sites above a_k up to the truncation X that the gap
+    determinants use: the search starts at the same site, 2 sqrt(alpha) + 8,
+    and stops where the diagonal tail, which bounds the change of the value,
+    is below tol / (2k + 1).  For the Airy kernel this is the joint edge
+    law, on Nystrom nodes doubled from 40 until two values agree within
+    tol.
     """
     if not isinstance(kernel, (kernels.Bessel, kernels.AiryKernel)):
         raise TypeError("joint_rows supports the Bessel and Airy kernels")

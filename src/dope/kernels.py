@@ -14,8 +14,9 @@ certifies a truncated Fredholm determinant.  The Charlier and Meixner
 kernels share one rank-m projection base, with its stable dual route below
 the band.
 The discrete Bessel kernel reads its pair, its diagonal, its trace tail
-and its series from one vector of J over the integer orders per alpha;
-the order-derivative diagonal stays as its cross-check.  The Charlier
+and its series from one vector of J over the integer orders per alpha,
+and its matrix indexes that vector at every point at once; the
+order-derivative diagonal stays as its cross-check.  The Charlier
 kernel has projection and contour routes, and the Airy kernel an integral
 representation; the pairs of routes are kept separate so they can be
 cross-checked.
@@ -211,6 +212,29 @@ class Bessel(_ChristoffelDarboux):
         # T1 at order x + 1; below the orders it is the sum of all squares
         lo, _, t1, _ = _bessel_orders(self.alpha)
         return float(t1[min(max(x + 1 - lo, 0), len(t1) - 1)])
+
+    def matrix(self, points) -> np.ndarray:
+        """[B(x, y)] on a list or array of integer sites, equal to eval entry
+        for entry: the pair and the diagonal are read by indexing into the
+        J vector and its T1 tail, with J = 0 at orders past the vector."""
+        pts = np.asarray(points)
+        if pts.size and pts.dtype.kind not in "iu":
+            raise TypeError(f"x must be an integer lattice point, got {points!r}")
+        pts = pts.astype(np.int64).reshape(-1)
+        lo, j, t1, _ = _bessel_orders(self.alpha)
+
+        def at(orders):
+            i = orders - lo
+            return np.where((i >= 0) & (i < len(j)), j[np.clip(i, 0, len(j) - 1)], 0.0)
+
+        u, v = at(pts), at(pts + 1)
+        col = pts[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mat = _christoffel_darboux(
+                self._cd_const, col, u[:, None], v[:, None], col.T, u[None, :], v[None, :]
+            )
+        diagonal = t1[np.clip(pts + 1 - lo, 0, len(t1) - 1)]
+        return np.where(col == col.T, diagonal[:, None], mat)
 
     def diag_tail(self, x: int) -> float:
         """sum_{y > x} B(y, y)."""

@@ -549,3 +549,34 @@ def test_criterion_15_growth_model_edge_limit():
         + " > ".join(f"{d:.3e}" for d in sups)
         + f" at N = 16, 64, 256; {elapsed:.1f} s"
     )
+
+
+def test_criterion_16_first_rows_tend_to_the_airy_joint_law():
+    """The paper's main theorem for the first k rows: the particles
+    lam_i - i of the Poissonized Plancherel measure near 2 sqrt(alpha), in
+    units of alpha^(1/6), tend to the Airy process's top k points.  At the
+    sites of edge_coordinates for xi in {-2.5, -1.5, -0.5, 0.5}, against the
+    Airy joint law at their cell centres, sup |P_alpha(x_1 <= a_1, ...,
+    x_k <= a_k) - F_Airy,k| over the k-subsets of that grid falls strictly
+    over alpha = 1e2, 1e3, 1e4, for k = 2 and for k = 3."""
+    start = time.monotonic()
+    grid = (0.5, -0.5, -1.5, -2.5)
+    sups = {}
+    for k in (2, 3):
+        sups[k] = []
+        for alpha in (1e2, 1e3, 1e4):
+            kernel = Bessel(alpha)
+            worst = 0.0
+            for xis in itertools.combinations(grid, k):
+                sites, centres = zip(*(edge_coordinates(kernel, xi) for xi in xis))
+                lattice = joint_rows(kernel, IntervalSystem(sites))
+                airy = joint_rows(AiryKernel(), IntervalSystem(centres))
+                worst = max(worst, abs(lattice - airy))
+            sups[k].append(worst)
+        assert sups[k][0] > sups[k][1] > sups[k][2], (k, sups[k])
+    elapsed = time.monotonic() - start
+    print(
+        "criterion 16: sup |P - F_Airy,k| at alpha = 1e2, 1e3, 1e4: "
+        + "; ".join(f"k = {k}: " + " > ".join(f"{d:.3e}" for d in sups[k]) for k in sups)
+        + f"; {elapsed:.1f} s"
+    )

@@ -209,6 +209,17 @@ def test_tw_joint_flag(capsys):
     assert 0.0 < float(rows[0]["value"]) < 1.0
 
 
+def test_tw_joint_on_a_wide_interval_is_a_probability(capsys):
+    # P[x_1 <= 0, x_2 <= -6] = 3.69e-4 for the Airy process; the
+    # interpolation route this replaced printed -6.7e-4
+    code, out, err = _run(capsys, ["tw", "--joint", "0,-6"])
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["thresholds"] == "0|-6"
+    assert float(row["value"]) == pytest.approx(3.69e-4, rel=1e-3)
+    assert row["consistent"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -1,10 +1,13 @@
 """Fredholm determinants: truncation certificates, known values, joint laws."""
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import airy, jv
 
 from dope.ensembles import (
     Charlier,
@@ -387,3 +390,112 @@ def test_airy_joint_lies_between_the_bracketing_marginals():
 def test_joint_rows_requires_bessel_or_airy():
     with pytest.raises(TypeError):
         joint_rows(HermiteKernel(4), IntervalSystem([0.0]))
+
+
+# Cauchy-circle extraction: an oracle for the joint law that shares no step
+# with the Janossy route but the kernel matrix, which comes from scipy here.
+
+
+def _cauchy_joint(kmat: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """P[N_1 = 0, N_1 + N_2 <= 1, ...] for the points labelled 0, ..., k - 1
+    by interval, by the trapezoid rule on the unit circle.
+
+    D(t) = det(I - K + K T), T the diagonal with t_j on the points labelled
+    j >= 1 and 0 on I_1, is sum_n P[N_1 = 0, N_2 = n_2, ...] t^n.  The rule
+    with N roots of unity per variable returns the coefficient of t^n plus
+    those of every m = n mod N, m != n, so the admissible sum is off by at
+    most P[max_j N_j >= N] (aliasing bound).  D has degree at most the
+    number of points labelled j in t_j, so N one above the largest of them
+    makes the bound 0: the extraction is exact up to rounding.
+    """
+    v = k - 1
+    nodes = max(k, max(np.count_nonzero(labels == j) for j in range(1, k)) + 1)
+    roots = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    eye = np.eye(len(labels))
+    values = np.empty((nodes,) * v, dtype=complex)
+    for idx in itertools.product(range(nodes), repeat=v):
+        t = np.concatenate([[0.0], roots[list(idx)]])[labels]
+        values[idx] = np.linalg.det(eye - kmat + kmat * t[None, :])
+    coeff = np.fft.fftn(values) / nodes**v
+    return math.fsum(coeff[n[1:]].real for n in admissible_counts(k))
+
+
+def _labels(points, thresholds) -> np.ndarray:
+    # interval index minus one: the number of thresholds at or above a point
+    return np.array([sum(a >= p for a in thresholds) for p in points])
+
+
+def _bessel_gram(alpha: float, floor: int):
+    """Sites floor + 1, ..., X and B = A A^T with A[x, s] = J_{x+s}(2 sqrt a),
+    s >= 1, from scipy; past X = z + 16 z^(1/3) + 40, z = 2 sqrt(alpha), the
+    squares of J sum to far below 1e-40."""
+    z = 2.0 * math.sqrt(alpha)
+    top = int(math.ceil(z + 16.0 * z ** (1.0 / 3.0) + 40.0))
+    sites = np.arange(floor + 1, top + 1)
+    orders = sites[:, None] + np.arange(1, top - floor + 1)[None, :]
+    a = np.where(orders <= top, jv(orders.astype(float), z), 0.0)
+    return sites, a @ a.T
+
+
+def _airy_nystrom(thresholds, n: int = 60):
+    """Nodes with labels and the symmetrized Airy matrix, n Gauss-Legendre
+    nodes on [a_1, max(a_1, 0) + 16] and on each finite interval, with
+    scipy's Ai (Ai(16)^2 ~ 1e-37)."""
+    u, w = leggauss(n)
+    ends = [max(thresholds[0], 0.0) + 16.0, *thresholds]
+    s = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * u for hi, lo in zip(ends, ends[1:])])
+    weights = np.concatenate([0.5 * (hi - lo) * w for hi, lo in zip(ends, ends[1:])])
+    ai, aip, _, _ = airy(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kmat = (np.outer(ai, aip) - np.outer(aip, ai)) / np.subtract.outer(s, s)
+    np.fill_diagonal(kmat, aip * aip - s * ai * ai)
+    root = np.sqrt(weights)
+    return np.repeat(np.arange(len(thresholds)), n), root[:, None] * kmat * root[None, :]
+
+
+# True values: the 40-digit mpmath Jacobi formula for the two-row Bessel
+# laws, the Cauchy extraction otherwise.  The interpolation route this
+# replaced gave -1.65e-2, -0.426, -6.7e-4 and -0.252 at the first four, and
+# was off by 1.7e-6 and 3.7e-7 at the two k = 3 cases.
+_WIDE = [
+    (100.0, (25, 5), 7.917982455529822e-07),
+    (1e4, (230, 150), 2.628199757192964e-33),
+    (100.0, (25, 15, 5), 5.80546e-3),
+    (400.0, (40, 30, 20), 6.0602e-4),
+]
+
+
+@pytest.mark.parametrize("alpha,thresholds,expected", _WIDE)
+def test_bessel_joint_on_wide_intervals_matches_the_cauchy_oracle(alpha, thresholds, expected):
+    value = joint_rows(Bessel(alpha), IntervalSystem(thresholds))
+    sites, gram = _bessel_gram(alpha, thresholds[-1])
+    oracle = _cauchy_joint(gram, _labels(sites, thresholds), len(thresholds))
+    # the default tol 1e-8, plus the oracle's rounding
+    assert abs(value - oracle) <= 1e-8 + 1e-13
+    assert value == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("thresholds,expected", [((0.0, -6.0), 3.69e-4), ((-1.0, -8.0), 9.5e-12)])
+def test_airy_joint_on_wide_intervals_matches_the_cauchy_oracle(thresholds, expected):
+    value = joint_rows(AiryKernel(), IntervalSystem(thresholds))
+    labels, kmat = _airy_nystrom(thresholds)
+    oracle = _cauchy_joint(kmat, labels, len(thresholds))
+    assert abs(value - oracle) <= 1e-8
+    assert value == pytest.approx(expected, rel=1e-2)
+    assert oracle == pytest.approx(expected, rel=1e-2)
+
+
+def test_cauchy_oracle_matches_the_enumerated_two_row_law():
+    # P[lam_1 <= 3, lam_2 <= 2] at alpha = 1, which criterion 11 checks
+    # against exact enumeration
+    sites, gram = _bessel_gram(1.0, 0)
+    oracle = _cauchy_joint(gram, _labels(sites, (2, 0)), 2)
+    assert oracle == pytest.approx(joint_rows(Bessel(1.0), IntervalSystem((2, 0))), abs=1e-14)
+
+
+def test_bessel_joint_with_a_singular_window_is_zero():
+    # x_1 >= -1 and x_2, x_3, x_4 >= -4 always, so four particles lie above
+    # -5 and P[x_1 <= 0, x_2 <= -5] = 0; det(I - B) on the window is 0 up to
+    # rounding, and the value must not come out negative or raise
+    value = joint_rows(Bessel(1.0), IntervalSystem((0, -5)))
+    assert -1e-14 <= value <= 1e-14

@@ -422,6 +422,10 @@ def test_gram_matrices_are_positive_semidefinite(kernel, points):
     [
         (Bessel(1.0), [-4, -1, 0, 1, 2, 5, 9]),
         (Bessel(3000.0), [60, 95, 109, 110, 111, 118, 130, 150]),
+        # unsorted, repeated and negative sites, and sites past the J vector
+        # (orders -129..130 at alpha = 1, -428..429 at 3000), where J = 0
+        (Bessel(1.0), [5, -4, 300, -1, 5, 0, 301, -300, 2, 9, 2, -300]),
+        (Bessel(3000.0), [130, -150, 109, 109, 2000, 60, -2000, 111, 0]),
         # m = 20 lies above the recurrence crest for sites 0..2, so those
         # take the dual route and the others the upward recurrence
         (CharlierKernel(20, 200.0), [0, 2, 4, 5, 12, 20, 41, 63]),
@@ -436,6 +440,17 @@ def test_gram_matrices_are_positive_semidefinite(kernel, points):
 def test_matrix_equals_eval_entry_for_entry(kernel, points):
     expected = np.array([[kernel.eval(x, y) for y in points] for x in points])
     assert np.array_equal(kernel.matrix(points), expected)
+
+
+def test_bessel_matrix_reads_integer_arrays_and_rejects_other_points():
+    kernel = Bessel(4.0)
+    points = [7, -3, 0, 7, 40]
+    assert np.array_equal(kernel.matrix(np.array(points)), kernel.matrix(points))
+    assert kernel.matrix([]).shape == (0, 0)
+    with pytest.raises(TypeError):
+        kernel.matrix([0, 0.5])
+    with pytest.raises(TypeError):
+        kernel.matrix([True, False])
 
 
 # ---------------------------------------------------------------------------
